@@ -13,8 +13,7 @@
 #include <cstdio>
 #include <functional>
 
-#include "scenarios/receiver.hpp"
-#include "scenarios/sensing.hpp"
+#include "gen/registry.hpp"
 #include "teamsim/experiment.hpp"
 #include "util/table.hpp"
 
@@ -42,8 +41,8 @@ void report(util::TextTable& t, const char* label,
 }  // namespace
 
 int main() {
-  const dpm::ScenarioSpec sensing = scenarios::sensingSystemScenario();
-  const dpm::ScenarioSpec receiver = scenarios::receiverScenario();
+  const dpm::ScenarioSpec sensing = gen::scenarioByName("sensing");
+  const dpm::ScenarioSpec receiver = gen::scenarioByName("receiver");
 
   util::TextTable t;
   t.header({"Configuration", "Sensing ops", "done", "Receiver ops", "done"});

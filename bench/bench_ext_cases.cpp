@@ -7,9 +7,7 @@
 // nearly vanish) generalises beyond the two cases it was demonstrated on.
 #include <cstdio>
 
-#include "scenarios/accelerometer.hpp"
-#include "scenarios/receiver.hpp"
-#include "scenarios/sensing.hpp"
+#include "gen/registry.hpp"
 #include "teamsim/experiment.hpp"
 #include "util/table.hpp"
 
@@ -25,10 +23,10 @@ int main() {
     dpm::ScenarioSpec spec;
   };
   const Case cases[] = {
-      {"sensing (paper case 1)", scenarios::sensingSystemScenario()},
-      {"receiver (paper case 2)", scenarios::receiverScenario()},
-      {"receiver, 4 designers (ext)", scenarios::receiverLargeTeamScenario()},
-      {"accelerometer (ext)", scenarios::accelerometerScenario()},
+      {"sensing (paper case 1)", gen::scenarioByName("sensing")},
+      {"receiver (paper case 2)", gen::scenarioByName("receiver")},
+      {"receiver, 4 designers (ext)", gen::scenarioByName("receiver4")},
+      {"accelerometer (ext)", gen::scenarioByName("accelerometer")},
   };
 
   std::printf("# Fig. 9 protocol across all cases (%zu seeds/cell)\n\n",

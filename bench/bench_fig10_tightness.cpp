@@ -10,7 +10,7 @@
 #include <fstream>
 #include <vector>
 
-#include "scenarios/receiver.hpp"
+#include "gen/registry.hpp"
 #include "teamsim/experiment.hpp"
 #include "teamsim/export.hpp"
 #include "util/stats.hpp"
@@ -34,10 +34,12 @@ int main() {
   std::vector<double> convMeans;
   std::vector<double> adpmMeans;
   std::vector<teamsim::SweepPoint> points;
+  dpm::ScenarioSpec spec = gen::scenarioByName("receiver");
+  const std::size_t gainMin = spec.propertyIndex("Gain-min").value();
   for (const double gain : kGainSweep) {
-    scenarios::ReceiverConfig cfg;
-    cfg.gainMin = gain;
-    const dpm::ScenarioSpec spec = scenarios::receiverScenario(cfg);
+    for (dpm::ScenarioSpec::Requirement& r : spec.requirements) {
+      if (r.property == gainMin) r.value = gain;
+    }
     const teamsim::SimulationOptions base;
     const teamsim::Comparison cmp =
         teamsim::compareApproaches(spec, base, kSeeds);

@@ -17,7 +17,7 @@
 #include <fstream>
 #include <vector>
 
-#include "scenarios/sensing.hpp"
+#include "gen/registry.hpp"
 #include "teamsim/engine.hpp"
 #include "teamsim/export.hpp"
 
@@ -29,7 +29,7 @@ teamsim::SimulationResult run(bool adpm, std::uint64_t seed) {
   teamsim::SimulationOptions options;
   options.adpm = adpm;
   options.seed = seed;
-  teamsim::SimulationEngine engine(scenarios::sensingSystemScenario(), options);
+  teamsim::SimulationEngine engine(gen::scenarioByName("sensing"), options);
   return engine.run();
 }
 

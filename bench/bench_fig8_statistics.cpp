@@ -9,7 +9,7 @@
 // run), then the final panel plus history strips of each displayed series.
 #include <cstdio>
 
-#include "scenarios/receiver.hpp"
+#include "gen/registry.hpp"
 #include "teamsim/engine.hpp"
 #include "teamsim/statwindow.hpp"
 
@@ -20,7 +20,7 @@ int main() {
   options.adpm = true;
   options.seed = 11;
 
-  teamsim::SimulationEngine engine(scenarios::receiverScenario(), options);
+  teamsim::SimulationEngine engine(gen::scenarioByName("receiver"), options);
 
   std::size_t nextCheckpoint = 10;
   while (!engine.complete() && engine.operations() < options.maxOperations) {
@@ -48,7 +48,7 @@ int main() {
   // screenshots implied.
   teamsim::SimulationOptions conv = options;
   conv.adpm = false;
-  teamsim::SimulationEngine convEngine(scenarios::receiverScenario(), conv);
+  teamsim::SimulationEngine convEngine(gen::scenarioByName("receiver"), conv);
   convEngine.run();
   std::printf("\n---- same scenario, conventional flow ----\n");
   std::printf("%s\n", teamsim::renderStatisticsWindow(convEngine).c_str());

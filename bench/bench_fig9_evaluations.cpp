@@ -9,8 +9,7 @@
 #include <cstdio>
 #include <fstream>
 
-#include "scenarios/receiver.hpp"
-#include "scenarios/sensing.hpp"
+#include "gen/registry.hpp"
 #include "teamsim/experiment.hpp"
 #include "teamsim/export.hpp"
 #include "util/table.hpp"
@@ -24,9 +23,9 @@ constexpr std::size_t kSeeds = 60;
 int main() {
   const teamsim::SimulationOptions base;
   const teamsim::Comparison sensing = teamsim::compareApproaches(
-      scenarios::sensingSystemScenario(), base, kSeeds);
+      gen::scenarioByName("sensing"), base, kSeeds);
   const teamsim::Comparison receiver = teamsim::compareApproaches(
-      scenarios::receiverScenario(), base, kSeeds);
+      gen::scenarioByName("receiver"), base, kSeeds);
 
   std::printf("# Fig. 9(b): constraint evaluations (%zu seeds/cell)\n\n",
               kSeeds);

@@ -13,8 +13,7 @@
 #include "expr/sweep.hpp"
 #include "gen/generator.hpp"
 #include "gen/presets.hpp"
-#include "scenarios/receiver.hpp"
-#include "scenarios/sensing.hpp"
+#include "gen/registry.hpp"
 #include "teamsim/engine.hpp"
 
 using namespace adpm;
@@ -24,8 +23,7 @@ namespace {
 std::unique_ptr<dpm::DesignProcessManager> makeManager(bool receiver) {
   auto mgr = std::make_unique<dpm::DesignProcessManager>(
       dpm::DesignProcessManager::Options{.adpm = true});
-  dpm::instantiate(receiver ? scenarios::receiverScenario()
-                            : scenarios::sensingSystemScenario(),
+  dpm::instantiate(gen::scenarioByName(receiver ? "receiver" : "sensing"),
                    *mgr);
   return mgr;
 }
@@ -182,9 +180,8 @@ BENCHMARK(BM_PropagationGeneratedSweep)
 void BM_FullSimulation(benchmark::State& state) {
   const bool receiver = state.range(0) != 0;
   const bool adpm = state.range(1) != 0;
-  const dpm::ScenarioSpec spec = receiver
-                                     ? scenarios::receiverScenario()
-                                     : scenarios::sensingSystemScenario();
+  const dpm::ScenarioSpec spec =
+      gen::scenarioByName(receiver ? "receiver" : "sensing");
   std::uint64_t seed = 1;
   for (auto _ : state) {
     teamsim::SimulationOptions options;

@@ -19,9 +19,9 @@
 #include "dddl/writer.hpp"
 #include "gen/generator.hpp"
 #include "gen/presets.hpp"
+#include "gen/registry.hpp"
 #include "net/server.hpp"
 #include "net/wire_load.hpp"
-#include "scenarios/sensing.hpp"
 #include "service/load.hpp"
 #include "service/store.hpp"
 
@@ -32,7 +32,7 @@ namespace {
 constexpr std::size_t kSessions = 8;
 
 void BM_ServiceFleet(benchmark::State& state) {
-  const dpm::ScenarioSpec spec = scenarios::sensingSystemScenario();
+  const dpm::ScenarioSpec spec = gen::scenarioByName("sensing");
   const int workers = static_cast<int>(state.range(0));
 
   std::size_t operations = 0;
@@ -77,7 +77,7 @@ BENCHMARK(BM_ServiceFleet)
 
 void BM_ServiceFleetJournaled(benchmark::State& state) {
   // Same fleet with the write-ahead log on: the price of durability.
-  const dpm::ScenarioSpec spec = scenarios::sensingSystemScenario();
+  const dpm::ScenarioSpec spec = gen::scenarioByName("sensing");
   const std::string walDir =
       (std::filesystem::temp_directory_path() / "adpm_bench_wal").string();
   std::size_t operations = 0;
@@ -167,7 +167,7 @@ void BM_Recovery(benchmark::State& state) {
   const std::size_t opsInLog = static_cast<std::size_t>(state.range(0));
   const std::size_t checkpointEvery = static_cast<std::size_t>(state.range(1));
 
-  const dpm::ScenarioSpec spec = scenarios::sensingSystemScenario();
+  const dpm::ScenarioSpec spec = gen::scenarioByName("sensing");
   service::SessionConfig cfg;
   cfg.id = "bench";
   cfg.adpm = true;
@@ -250,7 +250,7 @@ void BM_ServiceWire(benchmark::State& state) {
   // wire throughput; apply_rtt_us the mean Apply request/response round
   // trip; bus_downgrades counts subscription streams the NotificationBus
   // collapsed into ResyncRequired under write backpressure.
-  const std::string dddlText = dddl::write(scenarios::sensingSystemScenario());
+  const std::string dddlText = dddl::write(gen::scenarioByName("sensing"));
   const std::size_t clients = static_cast<std::size_t>(state.range(0));
 
   std::size_t operations = 0;

@@ -8,7 +8,7 @@
 #include <cstring>
 #include <string>
 
-#include "scenarios/receiver.hpp"
+#include "gen/registry.hpp"
 #include "teamsim/engine.hpp"
 #include "util/table.hpp"
 
@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
   options.adpm = !(argc > 1 && std::strcmp(argv[1], "conventional") == 0);
   options.seed = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 4;
 
-  const dpm::ScenarioSpec spec = scenarios::receiverScenario();
+  const dpm::ScenarioSpec spec = gen::scenarioByName("receiver");
   teamsim::SimulationEngine engine(spec, options);
   const teamsim::SimulationResult result = engine.run();
   const dpm::DesignProcessManager& mgr = engine.manager();

@@ -19,7 +19,7 @@
 
 #include "dpm/browser.hpp"
 #include "dpm/scenario.hpp"
-#include "scenarios/walkthrough.hpp"
+#include "gen/registry.hpp"
 
 using namespace adpm;
 
@@ -56,25 +56,36 @@ void reportViolations(const dpm::DesignProcessManager& mgr) {
 }  // namespace
 
 int main() {
-  const dpm::ScenarioSpec spec = scenarios::walkthroughScenario();
-  const scenarios::WalkthroughIds ids = scenarios::walkthroughIds(spec);
+  const dpm::ScenarioSpec spec = gen::scenarioByName("walkthrough");
+  const auto prop = [&](const char* name) {
+    return spec.propertyIndex(name).value();
+  };
+  const auto problem = [&](const char* name) {
+    return dpm::ProblemId{
+        static_cast<std::uint32_t>(spec.problemIndex(name).value())};
+  };
+  const std::size_t maxZin = prop("Max-Zin");
+  const std::size_t diffPairW = prop("Diff-pair-W");
+  const std::size_t freqInd = prop("Freq-ind");
+  const std::size_t lnaGain = prop("LNA-gain");
+  const std::size_t lnaPower = prop("LNA-power");
+  const std::size_t lnaZin = prop("LNA-Zin");
+  const std::size_t beamLength = prop("Beam-length");
+  const std::size_t centerFreq = prop("Center-freq");
+  const std::size_t insertionLoss = prop("Insertion-loss");
+  const dpm::ProblemId topProblem = problem("Transceiver");
+  const dpm::ProblemId lnaProblem = problem("LNA+Mixer-design");
+  const dpm::ProblemId filterProblem = problem("Filter-design");
 
   dpm::DesignProcessManager mgr(dpm::DesignProcessManager::Options{.adpm = true});
   dpm::instantiate(spec, mgr);
   mgr.bootstrap();
 
-  const auto lnaProblem =
-      dpm::ProblemId{static_cast<std::uint32_t>(ids.lnaProblem)};
-  const auto filterProblem =
-      dpm::ProblemId{static_cast<std::uint32_t>(ids.filterProblem)};
-  const auto topProblem =
-      dpm::ProblemId{static_cast<std::uint32_t>(ids.topProblem)};
-
   banner("1. Device engineer sets the resonator beam length to 13 um");
-  mgr.execute(synthesis(filterProblem, "device-engineer", ids.beamLength, 13.0));
-  mgr.execute(synthesis(filterProblem, "device-engineer", ids.centerFreq,
+  mgr.execute(synthesis(filterProblem, "device-engineer", beamLength, 13.0));
+  mgr.execute(synthesis(filterProblem, "device-engineer", centerFreq,
                         20600.0 / (13.0 * 13.0)));
-  mgr.execute(synthesis(filterProblem, "device-engineer", ids.insertionLoss,
+  mgr.execute(synthesis(filterProblem, "device-engineer", insertionLoss,
                         248.6 / 13.0));
   reportViolations(mgr);
 
@@ -86,20 +97,20 @@ int main() {
 
   banner("4. Circuit designer picks the inductor (0.2 uH), then sizes the "
          "pair at 2.5 um");
-  mgr.execute(synthesis(lnaProblem, "circuit-designer", ids.freqInd, 0.2));
-  mgr.execute(synthesis(lnaProblem, "circuit-designer", ids.diffPairW, 2.5));
-  mgr.execute(synthesis(lnaProblem, "circuit-designer", ids.lnaGain,
+  mgr.execute(synthesis(lnaProblem, "circuit-designer", freqInd, 0.2));
+  mgr.execute(synthesis(lnaProblem, "circuit-designer", diffPairW, 2.5));
+  mgr.execute(synthesis(lnaProblem, "circuit-designer", lnaGain,
                         104.0 * 2.5 * 0.2));
-  mgr.execute(synthesis(lnaProblem, "circuit-designer", ids.lnaPower,
+  mgr.execute(synthesis(lnaProblem, "circuit-designer", lnaPower,
                         54.08 * 2.5));
-  mgr.execute(synthesis(lnaProblem, "circuit-designer", ids.lnaZin,
+  mgr.execute(synthesis(lnaProblem, "circuit-designer", lnaZin,
                         125.0 / 2.5));
   std::printf("The chosen values lead to a violation of the global gain "
               "requirement:\n");
   reportViolations(mgr);
 
   banner("5. Team leader tightens the input impedance requirement to 40 Ohm");
-  mgr.execute(synthesis(topProblem, "team-leader", ids.maxZin, 40.0));
+  mgr.execute(synthesis(topProblem, "team-leader", maxZin, 40.0));
   reportViolations(mgr);
 
   banner("6. Conflict-resolution view (Fig. 4): alpha(Diff-pair-W) = 2");
@@ -107,15 +118,15 @@ int main() {
 
   banner("7. Widening the differential pair to 3.5 um fixes both violations");
   dpm::Operation repair =
-      synthesis(lnaProblem, "circuit-designer", ids.diffPairW, 3.5);
+      synthesis(lnaProblem, "circuit-designer", diffPairW, 3.5);
   repair.triggeredBy = *mgr.network().findConstraint("TotalGain-C13");
   mgr.execute(repair);
   // The derived LNA figures follow their models (tool re-runs).
-  mgr.execute(synthesis(lnaProblem, "circuit-designer", ids.lnaGain,
+  mgr.execute(synthesis(lnaProblem, "circuit-designer", lnaGain,
                         104.0 * 3.5 * 0.2));
-  mgr.execute(synthesis(lnaProblem, "circuit-designer", ids.lnaPower,
+  mgr.execute(synthesis(lnaProblem, "circuit-designer", lnaPower,
                         54.08 * 3.5));
-  mgr.execute(synthesis(lnaProblem, "circuit-designer", ids.lnaZin,
+  mgr.execute(synthesis(lnaProblem, "circuit-designer", lnaZin,
                         125.0 / 3.5));
   reportViolations(mgr);
   std::printf("Both violations have been fixed with a single sizing "

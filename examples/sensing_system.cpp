@@ -6,7 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "scenarios/sensing.hpp"
+#include "gen/registry.hpp"
 #include "teamsim/engine.hpp"
 #include "teamsim/statwindow.hpp"
 
@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
   const std::uint64_t seed =
       argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 7;
 
-  const dpm::ScenarioSpec scenario = scenarios::sensingSystemScenario();
+  const dpm::ScenarioSpec scenario = gen::scenarioByName("sensing");
   std::printf("Scenario '%s': %zu properties, %zu constraints, %zu problems\n",
               scenario.name.c_str(), scenario.properties.size(),
               scenario.constraints.size(), scenario.problems.size());

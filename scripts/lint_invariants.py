@@ -15,6 +15,13 @@ Rules (each scoped to src/ unless noted):
   std-mutex      std::mutex-family types appear only inside
                  util/thread_annotations.hpp; raw primitives are invisible
                  to Clang's thread-safety analysis.
+  scenario-source
+                 addProperty(/addConstraint(/addProblem( are called only by
+                 the DDDL parser and the generator.  The committed
+                 scenarios/*.dddl files are the one source of the built-in
+                 cases, so no second, hand-built copy can creep back into
+                 src/.  The definitions live in dpm/scenario and in the
+                 same-named network/manager methods it instantiates into.
 
 Matching happens on comment- and string-stripped source (except the
 failpoint scan, which reads names out of string literals), so prose
@@ -72,6 +79,21 @@ STD_MUTEX_RE = re.compile(
     r"(?:_any)?)\b"
 )
 STD_MUTEX_ALLOW = {"util/thread_annotations.hpp"}
+
+# Scenario-building calls and the files allowed to make them.  The parser and
+# the generator build ScenarioSpecs; dpm/scenario defines the builders and
+# instantiates specs into the manager, which forwards to the network.
+SCENARIO_BUILD_RE = re.compile(r"\badd(?:Property|Constraint|Problem)\s*\(")
+SCENARIO_BUILD_ALLOW = {
+    "dddl/parser.cpp",
+    "gen/generator.cpp",
+    "dpm/scenario.hpp",
+    "dpm/scenario.cpp",
+    "dpm/manager.hpp",
+    "dpm/manager.cpp",
+    "constraint/network.hpp",
+    "constraint/network.cpp",
+}
 
 FAULT_POINT_RE = re.compile(r'ADPM_FAULT_POINT\(\s*"([^"]+)"\s*\)')
 # Names in the FAILPOINTS.md table: a backticked name in the first column.
@@ -181,6 +203,10 @@ def main() -> int:
         """util/thread_annotations.hpp (the annotated wrappers)"""
         return name in STD_MUTEX_ALLOW
 
+    def scenario_build_allowed(name: str) -> bool:
+        """dddl/parser.cpp and gen/generator.cpp (SCENARIO_BUILD_ALLOW)"""
+        return name in SCENARIO_BUILD_ALLOW
+
     raw_io_re = re.compile(
         r"(?:\bstd::|::)?\b(?:" + "|".join(RAW_IO_TOKENS) + r")\s*\("
     )
@@ -191,6 +217,9 @@ def main() -> int:
     findings += check_token_rule(files, "canonical-json", json_re, json_allowed)
     findings += check_token_rule(files, "raw-io", raw_io_re, raw_io_allowed)
     findings += check_token_rule(files, "std-mutex", STD_MUTEX_RE, mutex_allowed)
+    findings += check_token_rule(
+        files, "scenario-source", SCENARIO_BUILD_RE, scenario_build_allowed
+    )
 
     for f in findings:
         print(f)

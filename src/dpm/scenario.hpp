@@ -6,8 +6,8 @@
 // designers, an assignment of subproblems to designers, and initial values
 // for top-level requirements." (paper, Section 3.1.2)
 //
-// A ScenarioSpec is a plain-data description: it can be built directly in
-// C++ (src/scenarios) or parsed from DDDL text (src/dddl).  Indices within
+// A ScenarioSpec is a plain-data description: it is parsed from DDDL text
+// (src/dddl) or synthesised by the generator (src/gen).  Indices within
 // the spec are positional; instantiation into an empty DesignProcessManager
 // maps property index i to PropertyId{i}, constraint index j to
 // ConstraintId{j}, and problem index k to ProblemId{k}.

@@ -1,155 +1,27 @@
 #include "gen/presets.hpp"
 
+#include "scenarios/embedded.hpp"
 #include "util/error.hpp"
 
 namespace adpm::gen {
 
-namespace {
-
-// Paramfile JSON for each preset, embedded verbatim.  scenarios/zoo/<name>.json
-// holds the identical bytes; tests/gen/presets_test.cpp keeps them in sync.
-
-const char* kToy = R"({
-  "name": "zoo-toy",
-  "seed": 1,
-  "subsystems": 2,
-  "propertiesPerSubsystem": 4,
-  "constraintsPerSubsystem": 4,
-  "crossConstraints": 2,
-  "requirements": 1,
-  "degree": 2.0,
-  "nonlinearFraction": 0.3,
-  "eqFraction": 0.4,
-  "discreteFraction": 0.1,
-  "tightness": 0.4,
-  "teamSize": 2
-}
-)";
-
-const char* kSmall = R"({
-  "name": "zoo-small",
-  "seed": 1,
-  "subsystems": 5,
-  "propertiesPerSubsystem": 6,
-  "constraintsPerSubsystem": 10,
-  "crossConstraints": 5,
-  "requirements": 5,
-  "degree": 2.5,
-  "nonlinearFraction": 0.35,
-  "eqFraction": 0.4,
-  "discreteFraction": 0.1,
-  "tightness": 0.5,
-  "teamSize": 3
-}
-)";
-
-const char* kMedium = R"({
-  "name": "zoo-medium",
-  "seed": 1,
-  "subsystems": 6,
-  "propertiesPerSubsystem": 8,
-  "constraintsPerSubsystem": 12,
-  "crossConstraints": 8,
-  "requirements": 6,
-  "degree": 2.5,
-  "nonlinearFraction": 0.35,
-  "eqFraction": 0.4,
-  "discreteFraction": 0.1,
-  "tightness": 0.5,
-  "teamSize": 4,
-  "zoom": [
-    {
-      "refine": 4,
-      "components": 4,
-      "propertiesPerComponent": 6,
-      "constraintsPerComponent": 12,
-      "links": 2,
-      "deferred": true
-    }
-  ]
-}
-)";
-
-const char* kLarge = R"({
-  "name": "zoo-large",
-  "seed": 1,
-  "subsystems": 10,
-  "propertiesPerSubsystem": 10,
-  "constraintsPerSubsystem": 15,
-  "crossConstraints": 15,
-  "requirements": 10,
-  "degree": 3.0,
-  "nonlinearFraction": 0.35,
-  "eqFraction": 0.35,
-  "discreteFraction": 0.08,
-  "tightness": 0.5,
-  "teamSize": 6,
-  "zoom": [
-    {
-      "refine": 8,
-      "components": 5,
-      "propertiesPerComponent": 8,
-      "constraintsPerComponent": 12,
-      "links": 2,
-      "deferred": true
-    },
-    {
-      "refine": 20,
-      "components": 4,
-      "propertiesPerComponent": 6,
-      "constraintsPerComponent": 8,
-      "links": 1,
-      "deferred": true
-    }
-  ]
-}
-)";
-
-const char* kXl = R"({
-  "name": "zoo-xl",
-  "seed": 1,
-  "subsystems": 20,
-  "propertiesPerSubsystem": 10,
-  "constraintsPerSubsystem": 20,
-  "crossConstraints": 25,
-  "requirements": 15,
-  "degree": 3.0,
-  "nonlinearFraction": 0.3,
-  "eqFraction": 0.35,
-  "discreteFraction": 0.05,
-  "tightness": 0.5,
-  "teamSize": 8,
-  "zoom": [
-    {
-      "refine": 16,
-      "components": 8,
-      "propertiesPerComponent": 8,
-      "constraintsPerComponent": 15,
-      "links": 2,
-      "deferred": true
-    },
-    {
-      "refine": 100,
-      "components": 4,
-      "propertiesPerComponent": 6,
-      "constraintsPerComponent": 8,
-      "links": 1,
-      "deferred": true
-    }
-  ]
-}
-)";
-
-}  // namespace
-
 const std::vector<ZooPreset>& zooPresets() {
-  static const std::vector<ZooPreset> presets = {
-      {"zoo-toy", kToy, "2 flat subsystems, ~11 constraints"},
-      {"zoo-small", kSmall, "5 flat subsystems, ~60 constraints"},
-      {"zoo-medium", kMedium, "6 subsystems, 1 zoom level, ~300 constraints"},
-      {"zoo-large", kLarge, "10 subsystems, 2 zoom levels, ~1500 constraints"},
-      {"zoo-xl", kXl, "20 subsystems, 2 zoom levels, >5000 constraints"},
-  };
+  static const std::vector<ZooPreset> presets = [] {
+    const std::pair<std::string, std::string> table[] = {
+        {"zoo-toy", "2 flat subsystems, ~11 constraints"},
+        {"zoo-small", "5 flat subsystems, ~60 constraints"},
+        {"zoo-medium", "6 subsystems, 1 zoom level, ~300 constraints"},
+        {"zoo-large", "10 subsystems, 2 zoom levels, ~1500 constraints"},
+        {"zoo-xl", "20 subsystems, 2 zoom levels, >5000 constraints"},
+    };
+    std::vector<ZooPreset> out;
+    for (const auto& [name, description] : table) {
+      const std::string_view paramfile =
+          scenarios::embeddedText("zoo/" + name + ".json");
+      out.push_back({name, std::string(paramfile), description});
+    }
+    return out;
+  }();
   return presets;
 }
 

@@ -1,10 +1,10 @@
 // The scenario zoo: checked-in paramfile presets spanning three orders of
 // magnitude in constraint count (zoo-toy ~10 constraints, zoo-xl >5000).
 //
-// Each preset's paramfile JSON is embedded here verbatim and mirrored on
-// disk under scenarios/zoo/<name>.json (a test keeps the two in sync), so
-// the same scenario can be produced from the CLI (`dddl_tool gen
-// scenarios/zoo/zoo-toy.json`) or from code (`zooPreset("zoo-toy")`).
+// Each preset's paramfile is scenarios/zoo/<name>.json, embedded verbatim at
+// configure time (scenarios/embedded.hpp), so the same scenario can be
+// produced from the CLI (`dddl_tool gen scenarios/zoo/zoo-toy.json`) or from
+// code (`zooPreset("zoo-toy")`).
 #pragma once
 
 #include <string>
@@ -17,7 +17,7 @@ namespace adpm::gen {
 
 struct ZooPreset {
   std::string name;
-  /// Verbatim paramfile JSON (identical to scenarios/zoo/<name>.json).
+  /// Verbatim paramfile JSON: the embedded scenarios/zoo/<name>.json.
   std::string paramfile;
   std::string description;
 };

@@ -1,11 +1,9 @@
 #include "gen/registry.hpp"
 
+#include "dddl/parser.hpp"
 #include "gen/generator.hpp"
 #include "gen/presets.hpp"
-#include "scenarios/accelerometer.hpp"
-#include "scenarios/receiver.hpp"
-#include "scenarios/sensing.hpp"
-#include "scenarios/walkthrough.hpp"
+#include "scenarios/embedded.hpp"
 #include "util/error.hpp"
 
 namespace adpm::gen {
@@ -28,11 +26,11 @@ const std::vector<RegistryEntry>& scenarioRegistry() {
 }
 
 dpm::ScenarioSpec scenarioByName(const std::string& name) {
-  if (name == "sensing") return scenarios::sensingSystemScenario();
-  if (name == "receiver") return scenarios::receiverScenario();
-  if (name == "receiver4") return scenarios::receiverLargeTeamScenario();
-  if (name == "accelerometer") return scenarios::accelerometerScenario();
-  if (name == "walkthrough") return scenarios::walkthroughScenario();
+  for (const RegistryEntry& entry : scenarioRegistry()) {
+    if (entry.name == name && entry.kind == "builtin") {
+      return dddl::parse(scenarios::embeddedText(name + ".dddl"));
+    }
+  }
   for (const ZooPreset& preset : zooPresets()) {
     if (preset.name == name) {
       return generate(parseParams(preset.paramfile)).spec;

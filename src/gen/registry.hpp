@@ -2,9 +2,11 @@
 //
 // teamsim_cli, session_service_cli, session_server_cli and dddl_tool each
 // used to carry their own name -> ScenarioSpec table; this registry is the
-// single source, covering both the hand-built paper cases and the generated
-// zoo presets (src/gen/presets.hpp).  Generated entries are produced on
-// demand from their embedded paramfile and are byte-deterministic.
+// single source, covering both the paper's design cases and the generated
+// zoo presets (src/gen/presets.hpp).  Both come from the committed files
+// embedded at build time (scenarios/embedded.hpp): a built-in is parsed from
+// scenarios/<name>.dddl, a generated entry is produced on demand from its
+// paramfile and is byte-deterministic.
 #pragma once
 
 #include <string>
@@ -17,16 +19,16 @@ namespace adpm::gen {
 
 struct RegistryEntry {
   std::string name;
-  /// "builtin" (hand-built in src/scenarios) or "generated" (zoo preset).
+  /// "builtin" (scenarios/<name>.dddl) or "generated" (zoo preset).
   std::string kind;
   std::string description;
 };
 
-/// All registered scenarios: the five hand-built cases followed by the zoo
+/// All registered scenarios: the five built-in cases followed by the zoo
 /// presets, in registration order.
 const std::vector<RegistryEntry>& scenarioRegistry();
 
-/// Builds the named scenario (hand-built factory call or preset generation).
+/// Builds the named scenario (DDDL parse of a built-in or preset generation).
 /// Throws InvalidArgumentError for unknown names, listing what exists.
 dpm::ScenarioSpec scenarioByName(const std::string& name);
 

@@ -15,19 +15,16 @@
 #include "constraint/propagate.hpp"
 #include "dpm/manager.hpp"
 #include "dpm/scenario.hpp"
-#include "scenarios/accelerometer.hpp"
-#include "scenarios/receiver.hpp"
-#include "scenarios/sensing.hpp"
-#include "scenarios/walkthrough.hpp"
+#include "gen/registry.hpp"
 
 namespace adpm::constraint {
 namespace {
 
 std::vector<std::pair<std::string, dpm::ScenarioSpec>> allScenarios() {
-  return {{"walkthrough", scenarios::walkthroughScenario()},
-          {"receiver", scenarios::receiverScenario()},
-          {"sensing", scenarios::sensingSystemScenario()},
-          {"accelerometer", scenarios::accelerometerScenario()}};
+  return {{"walkthrough", gen::scenarioByName("walkthrough")},
+          {"receiver", gen::scenarioByName("receiver")},
+          {"sensing", gen::scenarioByName("sensing")},
+          {"accelerometer", gen::scenarioByName("accelerometer")}};
 }
 
 void expectSamePropagation(const PropagationResult& a,

@@ -8,7 +8,7 @@
 
 #include "dddl/parser.hpp"
 #include "dddl/writer.hpp"
-#include "scenarios/walkthrough.hpp"
+#include "gen/registry.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -51,7 +51,7 @@ class ParserMutationFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(ParserMutationFuzz, NeverCrashesOnCorruptedInput) {
   util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 15101);
-  const std::string pristine = write(scenarios::walkthroughScenario());
+  const std::string pristine = write(gen::scenarioByName("walkthrough"));
 
   for (int iter = 0; iter < 400; ++iter) {
     std::string text = pristine;

@@ -290,6 +290,27 @@ scenario gen {
                adpm::ParseError);
 }
 
+TEST(Parser, DuplicateRequirementIsRejected) {
+  // A second requirement on one property would record two initial bindings
+  // in the design history; validation refuses it and names the property.
+  try {
+    parse(R"dddl(
+scenario dup {
+  object o;
+  property X : o range [0, 5];
+  require X = 1;
+  require X = 2;
+}
+)dddl");
+    FAIL() << "expected ParseError";
+  } catch (const adpm::ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("duplicate requirement on property "
+                                         "'X'"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(ParsedScenario, InstantiatesIntoManager) {
   const dpm::ScenarioSpec s = parse(kFilterScenario);
   dpm::DesignProcessManager mgr(dpm::DesignProcessManager::Options{.adpm = true});

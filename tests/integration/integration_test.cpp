@@ -7,10 +7,7 @@
 
 #include "dddl/parser.hpp"
 #include "dddl/writer.hpp"
-#include "scenarios/accelerometer.hpp"
-#include "scenarios/receiver.hpp"
-#include "scenarios/sensing.hpp"
-#include "scenarios/walkthrough.hpp"
+#include "gen/registry.hpp"
 #include "teamsim/experiment.hpp"
 #include "teamsim/export.hpp"
 
@@ -22,9 +19,9 @@ constexpr std::size_t kSeeds = 12;
 TEST(Integration, Fig9OperationShapes) {
   const teamsim::SimulationOptions base;
   const teamsim::Comparison sensing = teamsim::compareApproaches(
-      scenarios::sensingSystemScenario(), base, kSeeds);
+      gen::scenarioByName("sensing"), base, kSeeds);
   const teamsim::Comparison receiver = teamsim::compareApproaches(
-      scenarios::receiverScenario(), base, kSeeds);
+      gen::scenarioByName("receiver"), base, kSeeds);
 
   // Everything completes.
   EXPECT_EQ(sensing.adpm.completed, sensing.adpm.runs);
@@ -51,9 +48,9 @@ TEST(Integration, Fig9OperationShapes) {
 TEST(Integration, Fig9EvaluationShapes) {
   const teamsim::SimulationOptions base;
   const teamsim::Comparison sensing = teamsim::compareApproaches(
-      scenarios::sensingSystemScenario(), base, kSeeds);
+      gen::scenarioByName("sensing"), base, kSeeds);
   const teamsim::Comparison receiver = teamsim::compareApproaches(
-      scenarios::receiverScenario(), base, kSeeds);
+      gen::scenarioByName("receiver"), base, kSeeds);
 
   // ADPM consumes more evaluations in total...
   EXPECT_GT(sensing.evaluationRatio(), 1.0);
@@ -70,12 +67,14 @@ TEST(Integration, Fig9EvaluationShapes) {
 TEST(Integration, Fig10TightnessRobustness) {
   std::vector<double> convMeans;
   std::vector<double> adpmMeans;
+  dpm::ScenarioSpec spec = gen::scenarioByName("receiver");
+  const std::size_t gainMin = spec.propertyIndex("Gain-min").value();
   for (const double gain : {22.0, 27.0, 31.0}) {
-    scenarios::ReceiverConfig cfg;
-    cfg.gainMin = gain;
+    for (dpm::ScenarioSpec::Requirement& r : spec.requirements) {
+      if (r.property == gainMin) r.value = gain;
+    }
     const teamsim::Comparison cmp = teamsim::compareApproaches(
-        scenarios::receiverScenario(cfg), teamsim::SimulationOptions{},
-        kSeeds);
+        spec, teamsim::SimulationOptions{}, kSeeds);
     convMeans.push_back(cmp.conventional.operations.mean());
     adpmMeans.push_back(cmp.adpm.operations.mean());
   }
@@ -90,7 +89,7 @@ TEST(Integration, Fig10TightnessRobustness) {
 }
 
 TEST(Integration, LargeTeamScenarioScalesTheStory) {
-  const dpm::ScenarioSpec spec = scenarios::receiverLargeTeamScenario();
+  const dpm::ScenarioSpec spec = gen::scenarioByName("receiver4");
   EXPECT_TRUE(spec.validate().empty());
   EXPECT_EQ(spec.problems.size(), 4u);
   EXPECT_EQ(spec.objects.size(), 4u);
@@ -109,7 +108,7 @@ TEST(Integration, LargeTeamScenarioScalesTheStory) {
 }
 
 TEST(Integration, LargeTeamRoundTripsThroughDddl) {
-  const dpm::ScenarioSpec spec = scenarios::receiverLargeTeamScenario();
+  const dpm::ScenarioSpec spec = gen::scenarioByName("receiver4");
   const dpm::ScenarioSpec reparsed = dddl::parse(dddl::write(spec));
   EXPECT_EQ(reparsed.problems.size(), spec.problems.size());
   EXPECT_EQ(reparsed.constraints.size(), spec.constraints.size());
@@ -122,12 +121,9 @@ TEST(Integration, CompletedDesignsSatisfyEveryConstraintPointwise) {
   // and seeds.
   for (const bool adpm : {false, true}) {
     for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
-      for (int scenario = 0; scenario < 4; ++scenario) {
-        const dpm::ScenarioSpec spec =
-            scenario == 0   ? scenarios::sensingSystemScenario()
-            : scenario == 1 ? scenarios::receiverScenario()
-            : scenario == 2 ? scenarios::receiverLargeTeamScenario()
-                            : scenarios::accelerometerScenario();
+      for (const char* name :
+           {"sensing", "receiver", "receiver4", "accelerometer"}) {
+        const dpm::ScenarioSpec spec = gen::scenarioByName(name);
         teamsim::SimulationOptions options;
         options.adpm = adpm;
         options.seed = seed;
@@ -153,7 +149,7 @@ TEST(Integration, HistoryReplayMatchesFinalState) {
     teamsim::SimulationOptions options;
     options.adpm = adpm;
     options.seed = 6;
-    teamsim::SimulationEngine engine(scenarios::receiverScenario(), options);
+    teamsim::SimulationEngine engine(gen::scenarioByName("receiver"), options);
     const auto r = engine.run();
     ASSERT_TRUE(r.completed);
     const auto& mgr = engine.manager();
@@ -175,11 +171,11 @@ TEST(Integration, ExportedArtifactsAreConsistent) {
   teamsim::SimulationOptions options;
   options.adpm = true;
   options.seed = 5;
-  teamsim::SimulationEngine adpmEngine(scenarios::walkthroughScenario(),
+  teamsim::SimulationEngine adpmEngine(gen::scenarioByName("walkthrough"),
                                        options);
   adpmEngine.run();
   options.adpm = false;
-  teamsim::SimulationEngine convEngine(scenarios::walkthroughScenario(),
+  teamsim::SimulationEngine convEngine(gen::scenarioByName("walkthrough"),
                                        options);
   convEngine.run();
 

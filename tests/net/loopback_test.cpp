@@ -15,12 +15,12 @@
 #include <vector>
 
 #include "dddl/writer.hpp"
+#include "gen/registry.hpp"
 #include "net/client.hpp"
 #include "net/frame.hpp"
 #include "net/server.hpp"
 #include "net/socket.hpp"
 #include "net/wire_load.hpp"
-#include "scenarios/sensing.hpp"
 #include "service/store.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
@@ -33,8 +33,7 @@ namespace json = util::json;
 using namespace std::chrono_literals;
 
 std::string sensingDddl() {
-  static const std::string text =
-      dddl::write(scenarios::sensingSystemScenario());
+  static const std::string text = dddl::write(gen::scenarioByName("sensing"));
   return text;
 }
 

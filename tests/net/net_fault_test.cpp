@@ -14,11 +14,11 @@
 
 #include "dddl/writer.hpp"
 #include "dpm/scenario.hpp"
+#include "gen/registry.hpp"
 #include "net/client.hpp"
 #include "net/frame.hpp"
 #include "net/server.hpp"
 #include "net/wire_load.hpp"
-#include "scenarios/sensing.hpp"
 #include "service/store.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
@@ -180,7 +180,7 @@ TEST_F(NetFaultTest, WireLoadUnderSocketFaultsNeverDivergesSilently) {
   WireLoadOptions load;
   load.port = port;
   load.sessions = 2;
-  load.dddl = dddl::write(scenarios::sensingSystemScenario());
+  load.dddl = dddl::write(gen::scenarioByName("sensing"));
   load.sim.seed = 17;
   load.maxReconnects = 16;
   load.idPrefix = "chaos-";

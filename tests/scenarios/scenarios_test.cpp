@@ -4,16 +4,15 @@
 #include "dddl/parser.hpp"
 #include "dddl/writer.hpp"
 #include "dpm/scenario.hpp"
-#include "scenarios/accelerometer.hpp"
-#include "scenarios/receiver.hpp"
-#include "scenarios/sensing.hpp"
-#include "scenarios/walkthrough.hpp"
+#include "gen/registry.hpp"
 
-namespace adpm::scenarios {
+namespace adpm {
 namespace {
 
+using gen::scenarioByName;
+
 TEST(SensingScenario, MatchesPaperScale) {
-  const dpm::ScenarioSpec s = sensingSystemScenario();
+  const dpm::ScenarioSpec s = scenarioByName("sensing");
   EXPECT_TRUE(s.validate().empty());
   // "up to 26 properties and 21 constraints"
   EXPECT_EQ(s.properties.size(), 26u);
@@ -23,7 +22,7 @@ TEST(SensingScenario, MatchesPaperScale) {
 }
 
 TEST(ReceiverScenario, MatchesPaperScale) {
-  const dpm::ScenarioSpec s = receiverScenario();
+  const dpm::ScenarioSpec s = scenarioByName("receiver");
   EXPECT_TRUE(s.validate().empty());
   // "up to 35 properties and 30 constraints"
   EXPECT_EQ(s.properties.size(), 35u);
@@ -34,7 +33,7 @@ TEST(ReceiverScenario, MatchesPaperScale) {
 
 TEST(ReceiverScenario, MostConstraintsNonlinear) {
   // The paper calls the receiver case "harder": most constraints nonlinear.
-  const dpm::ScenarioSpec s = receiverScenario();
+  const dpm::ScenarioSpec s = scenarioByName("receiver");
   std::size_t nonlinear = 0;
   for (const auto& c : s.constraints) {
     // A constraint is nonlinear if its residual mentions mul/div/sqrt/
@@ -74,14 +73,6 @@ TEST(ReceiverScenario, MostConstraintsNonlinear) {
 class ScenarioFeasibility
     : public ::testing::TestWithParam<const char*> {};
 
-dpm::ScenarioSpec scenarioByName(const std::string& name) {
-  if (name == "sensing") return sensingSystemScenario();
-  if (name == "receiver") return receiverScenario();
-  if (name == "receiver4") return receiverLargeTeamScenario();
-  if (name == "accelerometer") return accelerometerScenario();
-  return walkthroughScenario();
-}
-
 TEST_P(ScenarioFeasibility, InitialRequirementsAdmitSolutions) {
   const dpm::ScenarioSpec spec = scenarioByName(GetParam());
   dpm::DesignProcessManager mgr(
@@ -111,6 +102,10 @@ TEST_P(ScenarioFeasibility, RoundTripsThroughDddl) {
   for (std::size_t i = 0; i < spec.constraints.size(); ++i) {
     EXPECT_TRUE(reparsed.constraints[i].lhs.sameAs(spec.constraints[i].lhs))
         << spec.constraints[i].name;
+    EXPECT_EQ(reparsed.constraints[i].rel, spec.constraints[i].rel)
+        << spec.constraints[i].name;
+    EXPECT_TRUE(reparsed.constraints[i].rhs.sameAs(spec.constraints[i].rhs))
+        << spec.constraints[i].name;
     EXPECT_EQ(reparsed.constraints[i].monotone, spec.constraints[i].monotone);
   }
 }
@@ -120,7 +115,7 @@ INSTANTIATE_TEST_SUITE_P(Cases, ScenarioFeasibility,
                                            "accelerometer", "walkthrough"));
 
 TEST(AccelerometerScenario, Scale) {
-  const dpm::ScenarioSpec s = accelerometerScenario();
+  const dpm::ScenarioSpec s = scenarioByName("accelerometer");
   EXPECT_TRUE(s.validate().empty());
   EXPECT_EQ(s.properties.size(), 20u);
   EXPECT_EQ(s.constraints.size(), 14u);
@@ -129,8 +124,7 @@ TEST(AccelerometerScenario, Scale) {
 }
 
 TEST(WalkthroughScenario, StoryBeatsReproduce) {
-  const dpm::ScenarioSpec spec = walkthroughScenario();
-  const WalkthroughIds ids = walkthroughIds(spec);
+  const dpm::ScenarioSpec spec = scenarioByName("walkthrough");
   dpm::DesignProcessManager mgr(
       dpm::DesignProcessManager::Options{.adpm = true});
   dpm::instantiate(spec, mgr);
@@ -138,16 +132,19 @@ TEST(WalkthroughScenario, StoryBeatsReproduce) {
   // Beam length must sit near 13 um to hit the channel (Fc within 122±3).
   constraint::Propagator prop;
   auto r = prop.run(mgr.network());
-  const auto beamHull =
-      r.hulls[static_cast<std::uint32_t>(ids.beamLength)];
+  const auto hull = [&](const char* name) {
+    return r.hulls[static_cast<std::uint32_t>(
+        spec.propertyIndex(name).value())];
+  };
+  const auto beamHull = hull("Beam-length");
   EXPECT_NEAR(beamHull.lo(), 12.83, 0.05);
   EXPECT_NEAR(beamHull.hi(), 13.16, 0.05);
 
   // Fig. 2: the inductor's feasible window is relatively the smallest.
-  const auto wHull = r.hulls[static_cast<std::uint32_t>(ids.diffPairW)];
+  const auto wHull = hull("Diff-pair-W");
   EXPECT_NEAR(wHull.lo(), 2.5, 0.01);
   EXPECT_NEAR(wHull.hi(), 3.698, 0.01);
-  const auto lHull = r.hulls[static_cast<std::uint32_t>(ids.freqInd)];
+  const auto lHull = hull("Freq-ind");
   EXPECT_NEAR(lHull.hi(), 0.5, 1e-5);
   EXPECT_GT(lHull.lo(), 0.15);
   EXPECT_LT(lHull.lo(), 0.21);
@@ -156,10 +153,12 @@ TEST(WalkthroughScenario, StoryBeatsReproduce) {
 TEST(ReceiverScenario, GainTightnessShrinksFeasibility) {
   // Fig. 10's x axis: tightening the gain requirement shrinks the feasible
   // region but keeps the scenario solvable across the sweep.
+  dpm::ScenarioSpec spec = scenarioByName("receiver");
+  const std::size_t gainMin = spec.propertyIndex("Gain-min").value();
   for (double gain : {20.0, 24.0, 28.0, 32.0}) {
-    ReceiverConfig cfg;
-    cfg.gainMin = gain;
-    const dpm::ScenarioSpec spec = receiverScenario(cfg);
+    for (dpm::ScenarioSpec::Requirement& r : spec.requirements) {
+      if (r.property == gainMin) r.value = gain;
+    }
     dpm::DesignProcessManager mgr(
         dpm::DesignProcessManager::Options{.adpm = true});
     dpm::instantiate(spec, mgr);
@@ -170,4 +169,4 @@ TEST(ReceiverScenario, GainTightnessShrinksFeasibility) {
 }
 
 }  // namespace
-}  // namespace adpm::scenarios
+}  // namespace adpm

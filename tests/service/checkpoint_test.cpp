@@ -15,7 +15,7 @@
 #include "dddl/writer.hpp"
 #include "dpm/manager.hpp"
 #include "dpm/state_io.hpp"
-#include "scenarios/sensing.hpp"
+#include "gen/registry.hpp"
 #include "service/session.hpp"
 #include "service/store.hpp"
 #include "service/wal.hpp"
@@ -51,7 +51,7 @@ class CheckpointTest : public ::testing::Test {
                             ->name()));
     fs::remove_all(dir_);
     fs::create_directories(dir_);
-    spec_ = scenarios::sensingSystemScenario();
+    spec_ = gen::scenarioByName("sensing");
   }
   void TearDown() override { fs::remove_all(dir_); }
 

@@ -7,7 +7,7 @@
 #include <filesystem>
 #include <string>
 
-#include "scenarios/sensing.hpp"
+#include "gen/registry.hpp"
 #include "service/load.hpp"
 #include "service/session.hpp"
 #include "service/store.hpp"
@@ -43,7 +43,7 @@ TEST_F(ServiceConcurrencyTest, EightSessionsOnFourWorkers) {
   load.sessions = 8;  // > workers: strands must multiplex fairly
   load.sim.adpm = true;
   load.sim.seed = 42;
-  const dpm::ScenarioSpec spec = scenarios::sensingSystemScenario();
+  const dpm::ScenarioSpec spec = gen::scenarioByName("sensing");
   const LoadReport report = runLoad(store, spec, load);
 
   EXPECT_EQ(report.sessions, 8u);
@@ -68,7 +68,7 @@ TEST_F(ServiceConcurrencyTest, EightSessionsOnFourWorkers) {
 }
 
 TEST_F(ServiceConcurrencyTest, ConcurrentRunMatchesDeterministicRun) {
-  const dpm::ScenarioSpec spec = scenarios::sensingSystemScenario();
+  const dpm::ScenarioSpec spec = gen::scenarioByName("sensing");
 
   // Deterministic single-thread reference fleet.
   SessionStore::Options ref;
@@ -99,7 +99,7 @@ TEST_F(ServiceConcurrencyTest, MixedFlowsSideBySide) {
   SessionStore::Options options;
   options.executor.threads = 2;
   SessionStore store{std::move(options)};
-  const dpm::ScenarioSpec spec = scenarios::sensingSystemScenario();
+  const dpm::ScenarioSpec spec = gen::scenarioByName("sensing");
 
   LoadOptions adpmLoad;
   adpmLoad.sessions = 2;

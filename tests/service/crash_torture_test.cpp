@@ -30,7 +30,7 @@
 
 #include "dddl/parser.hpp"
 #include "dddl/writer.hpp"
-#include "scenarios/sensing.hpp"
+#include "gen/registry.hpp"
 #include "service/load.hpp"
 #include "service/session.hpp"
 #include "service/store.hpp"
@@ -69,7 +69,7 @@ class CrashTortureTest : public ::testing::Test {
     load.sim.adpm = adpm;
     load.sim.seed = 7;
     load.maxOperationsPerSession = 12;
-    runLoad(store, scenarios::sensingSystemScenario(), load);
+    runLoad(store, gen::scenarioByName("sensing"), load);
     return (dir_ / sub / "load-0.wal").string();
   }
 
@@ -273,7 +273,7 @@ TEST_F(CrashTortureTest, DamagedLogNeverAbortsSiblingRecovery) {
     load.sim.adpm = true;
     load.sim.seed = 7;
     load.maxOperationsPerSession = 8;
-    runLoad(store, scenarios::sensingSystemScenario(), load);
+    runLoad(store, gen::scenarioByName("sensing"), load);
   }
   // Tear load-0's tail mid-record; load-1 stays pristine.
   const std::string victim = (dir_ / "sib" / "load-0.wal").string();
@@ -331,7 +331,7 @@ TEST_F(CrashTortureTest, ForkedProcessAbortedMidAppendLeavesRecoverableLog) {
     load.sessions = 1;
     load.sim.adpm = true;
     load.sim.seed = 7;
-    runLoad(store, scenarios::sensingSystemScenario(), load);
+    runLoad(store, gen::scenarioByName("sensing"), load);
     ::_exit(0);  // unreachable when the failpoint fires
   }
 
@@ -403,7 +403,7 @@ class ChainTortureTest : public CrashTortureTest {
   /// Sets up config/spec/op-stream without touching the disk (the fork
   /// drivers record in a child process instead).
   void prepareChain(bool adpm) {
-    spec_ = scenarios::sensingSystemScenario();
+    spec_ = gen::scenarioByName("sensing");
     config_ = SessionConfig{};
     config_.id = "chain";
     config_.adpm = adpm;
@@ -590,7 +590,7 @@ TEST_F(ChainTortureTest, CheckpointBitFlipsDegradeWithoutDataLoss) {
   plan.everyNth = nth;
   util::FaultRegistry::instance().arm(failpoint, plan);
 
-  const dpm::ScenarioSpec spec = scenarios::sensingSystemScenario();
+  const dpm::ScenarioSpec spec = gen::scenarioByName("sensing");
   SessionConfig cfg;
   cfg.id = "chain";
   cfg.adpm = true;

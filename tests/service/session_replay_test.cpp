@@ -9,7 +9,7 @@
 #include <sstream>
 #include <string>
 
-#include "scenarios/sensing.hpp"
+#include "gen/registry.hpp"
 #include "service/load.hpp"
 #include "service/session.hpp"
 #include "service/store.hpp"
@@ -50,7 +50,7 @@ class SessionReplayTest : public ::testing::Test {
     load.sim.adpm = adpm;
     load.sim.seed = seed;
     const LoadReport report =
-        runLoad(store, scenarios::sensingSystemScenario(), load);
+        runLoad(store, gen::scenarioByName("sensing"), load);
     EXPECT_EQ(report.sessions, 1u);
     EXPECT_GT(report.operations, 0u);
     return store.snapshot("load-0").get();
@@ -143,7 +143,7 @@ TEST_F(SessionReplayTest, TeardownSealsTheLogWithAFinalMark) {
     load.sim.adpm = true;
     load.sim.seed = 7;
     operations =
-        runLoad(store, scenarios::sensingSystemScenario(), load).operations;
+        runLoad(store, gen::scenarioByName("sensing"), load).operations;
   }
   ASSERT_GT(operations, 0u);
   ASSERT_LT(operations, 32u);  // else this test exercises nothing
@@ -188,10 +188,10 @@ TEST_F(SessionReplayTest, StoreRecoverRebuildsAllSessions) {
     load.sim.seed = 3;
     load.sim.adpm = true;
     load.idPrefix = "t-";
-    runLoad(store, scenarios::sensingSystemScenario(), load);
+    runLoad(store, gen::scenarioByName("sensing"), load);
     load.sim.adpm = false;
     load.idPrefix = "f-";
-    runLoad(store, scenarios::sensingSystemScenario(), load);
+    runLoad(store, gen::scenarioByName("sensing"), load);
     liveT = store.snapshot("t-0").get();
     liveF = store.snapshot("f-0").get();
   }
@@ -216,7 +216,7 @@ TEST_F(SessionReplayTest, RecoverSkipsBadLogsAndRecoversTheRest) {
     load.sim.seed = 3;
     load.sim.adpm = true;
     load.idPrefix = "t-";
-    runLoad(store, scenarios::sensingSystemScenario(), load);
+    runLoad(store, gen::scenarioByName("sensing"), load);
   }
   // A corrupt sibling log (no header) sorts before the good one.
   const fs::path bad = dir_ / "part" / "a-bad.wal";

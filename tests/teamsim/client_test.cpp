@@ -1,10 +1,10 @@
+#include "gen/registry.hpp"
 #include "teamsim/client.hpp"
 
 #include <gtest/gtest.h>
 
 #include "dpm/manager.hpp"
 #include "dpm/scenario.hpp"
-#include "scenarios/sensing.hpp"
 #include "teamsim/engine.hpp"
 
 namespace adpm::teamsim {
@@ -14,7 +14,7 @@ TEST(TeamClient, HostedRunMatchesInProcessEngine) {
   SimulationOptions options;
   options.adpm = true;
   options.seed = 5;
-  const dpm::ScenarioSpec spec = scenarios::sensingSystemScenario();
+  const dpm::ScenarioSpec spec = gen::scenarioByName("sensing");
 
   // In-process reference: the engine drives its own DPM to completion.
   SimulationEngine engine(spec, options);
@@ -47,7 +47,7 @@ TEST(TeamClient, HostedRunMatchesInProcessEngine) {
 TEST(TeamClient, ProposeIsIdleOnCompletedDesign) {
   SimulationOptions options;
   options.seed = 2;
-  const dpm::ScenarioSpec spec = scenarios::sensingSystemScenario();
+  const dpm::ScenarioSpec spec = gen::scenarioByName("sensing");
   dpm::DesignProcessManager dpm(options.managerOptions());
   dpm::instantiate(spec, dpm);
   dpm.bootstrap();

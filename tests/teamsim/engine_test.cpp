@@ -1,11 +1,10 @@
+#include "gen/registry.hpp"
 #include "teamsim/engine.hpp"
 #include "teamsim/experiment.hpp"
 
 #include <gtest/gtest.h>
 
-#include "scenarios/receiver.hpp"
-#include "scenarios/sensing.hpp"
-#include "scenarios/walkthrough.hpp"
+#include <string>
 
 namespace adpm::teamsim {
 namespace {
@@ -18,7 +17,7 @@ SimulationOptions opts(bool adpm, std::uint64_t seed) {
 }
 
 TEST(SimulationEngine, AdpmCompletesWalkthrough) {
-  SimulationEngine engine(scenarios::walkthroughScenario(), opts(true, 7));
+  SimulationEngine engine(gen::scenarioByName("walkthrough"), opts(true, 7));
   const SimulationResult r = engine.run();
   EXPECT_TRUE(r.completed);
   EXPECT_GT(r.operations, 0u);
@@ -27,7 +26,7 @@ TEST(SimulationEngine, AdpmCompletesWalkthrough) {
 }
 
 TEST(SimulationEngine, ConventionalCompletesWalkthrough) {
-  SimulationEngine engine(scenarios::walkthroughScenario(), opts(false, 7));
+  SimulationEngine engine(gen::scenarioByName("walkthrough"), opts(false, 7));
   const SimulationResult r = engine.run();
   EXPECT_TRUE(r.completed);
   // The conventional flow must have issued verification operations.
@@ -39,13 +38,11 @@ TEST(SimulationEngine, ConventionalCompletesWalkthrough) {
 }
 
 class CompletesAcrossSeeds
-    : public ::testing::TestWithParam<std::tuple<const char*, bool, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, bool, int>> {};
 
 TEST_P(CompletesAcrossSeeds, RunCompletes) {
   const auto& [name, adpm, seed] = GetParam();
-  const dpm::ScenarioSpec spec =
-      std::string(name) == "sensing" ? scenarios::sensingSystemScenario()
-                                     : scenarios::receiverScenario();
+  const dpm::ScenarioSpec spec = gen::scenarioByName(name);
   SimulationEngine engine(spec, opts(adpm, static_cast<std::uint64_t>(seed)));
   const SimulationResult r = engine.run();
   EXPECT_TRUE(r.completed)
@@ -61,12 +58,13 @@ TEST_P(CompletesAcrossSeeds, RunCompletes) {
 
 INSTANTIATE_TEST_SUITE_P(
     Grid, CompletesAcrossSeeds,
-    ::testing::Combine(::testing::Values("sensing", "receiver"),
+    ::testing::Combine(::testing::Values(std::string("sensing"),
+                                         std::string("receiver")),
                        ::testing::Bool(), ::testing::Values(1, 2, 3, 4, 5)));
 
 TEST(SimulationEngine, DeterministicForSameSeed) {
-  SimulationEngine a(scenarios::sensingSystemScenario(), opts(true, 42));
-  SimulationEngine b(scenarios::sensingSystemScenario(), opts(true, 42));
+  SimulationEngine a(gen::scenarioByName("sensing"), opts(true, 42));
+  SimulationEngine b(gen::scenarioByName("sensing"), opts(true, 42));
   const SimulationResult ra = a.run();
   const SimulationResult rb = b.run();
   EXPECT_EQ(ra.operations, rb.operations);
@@ -80,8 +78,8 @@ TEST(SimulationEngine, DeterministicForSameSeed) {
 }
 
 TEST(SimulationEngine, SeedsChangeTheProcess) {
-  SimulationEngine a(scenarios::sensingSystemScenario(), opts(false, 1));
-  SimulationEngine b(scenarios::sensingSystemScenario(), opts(false, 2));
+  SimulationEngine a(gen::scenarioByName("sensing"), opts(false, 1));
+  SimulationEngine b(gen::scenarioByName("sensing"), opts(false, 2));
   const SimulationResult ra = a.run();
   const SimulationResult rb = b.run();
   // Different random seeds should virtually never produce identical traces.
@@ -90,7 +88,7 @@ TEST(SimulationEngine, SeedsChangeTheProcess) {
 }
 
 TEST(SimulationEngine, TraceAccountingIsConsistent) {
-  SimulationEngine engine(scenarios::receiverScenario(), opts(true, 3));
+  SimulationEngine engine(gen::scenarioByName("receiver"), opts(true, 3));
   const SimulationResult r = engine.run();
   ASSERT_FALSE(r.trace.size() == 0);
   std::size_t evalSum = engine.bootstrapEvaluations();
@@ -108,7 +106,7 @@ TEST(SimulationEngine, TraceAccountingIsConsistent) {
 }
 
 TEST(SimulationEngine, StepReturnsFalseWhenEveryoneIdle) {
-  SimulationEngine engine(scenarios::walkthroughScenario(), opts(true, 1));
+  SimulationEngine engine(gen::scenarioByName("walkthrough"), opts(true, 1));
   engine.run();
   EXPECT_TRUE(engine.complete());
   EXPECT_FALSE(engine.step());
@@ -117,7 +115,7 @@ TEST(SimulationEngine, StepReturnsFalseWhenEveryoneIdle) {
 TEST(SimulationEngine, OperationCapStopsRunawayRuns) {
   SimulationOptions o = opts(false, 1);
   o.maxOperations = 5;
-  SimulationEngine engine(scenarios::receiverScenario(), o);
+  SimulationEngine engine(gen::scenarioByName("receiver"), o);
   const SimulationResult r = engine.run();
   EXPECT_LE(r.operations, 5u);
   EXPECT_FALSE(r.completed);
@@ -139,7 +137,7 @@ TEST(SimulationEngine, OwnerlessScenarioIdlesImmediately) {
 TEST(SimulationEngine, NonpositiveDeltaDivisorIsGuarded) {
   SimulationOptions o = opts(true, 5);
   o.deltaDivisor = 0.0;  // would divide by zero without the guard
-  SimulationEngine engine(scenarios::sensingSystemScenario(), o);
+  SimulationEngine engine(gen::scenarioByName("sensing"), o);
   const SimulationResult r = engine.run();
   EXPECT_TRUE(r.completed);
 }
@@ -153,8 +151,8 @@ TEST(OptimizationPhase, ImprovesPreferredVariablesWhileStayingSound) {
   SimulationOptions optimizing = plain;
   optimizing.optimizationPasses = 8;
 
-  SimulationEngine a(scenarios::receiverScenario(), plain);
-  SimulationEngine b(scenarios::receiverScenario(), optimizing);
+  SimulationEngine a(gen::scenarioByName("receiver"), plain);
+  SimulationEngine b(gen::scenarioByName("receiver"), optimizing);
   const SimulationResult ra = a.run();
   const SimulationResult rb = b.run();
   ASSERT_TRUE(ra.completed);
@@ -174,7 +172,7 @@ TEST(OptimizationPhase, ImprovesPreferredVariablesWhileStayingSound) {
 }
 
 TEST(OptimizationPhase, DisabledByDefault) {
-  SimulationEngine engine(scenarios::receiverScenario(), opts(true, 9));
+  SimulationEngine engine(gen::scenarioByName("receiver"), opts(true, 9));
   const SimulationResult r = engine.run();
   EXPECT_TRUE(r.completed);
   for (const auto& s : r.trace) {
@@ -194,7 +192,7 @@ TEST_P(BlunderRobustness, ProcessRecoversFromInjectedErrors) {
   const auto& [adpm, seed] = GetParam();
   SimulationOptions o = opts(adpm, static_cast<std::uint64_t>(seed));
   o.blunderRate = 0.15;  // roughly one in seven bindings is garbage
-  SimulationEngine engine(scenarios::sensingSystemScenario(), o);
+  SimulationEngine engine(gen::scenarioByName("sensing"), o);
   const SimulationResult r = engine.run();
   EXPECT_TRUE(r.completed) << "adpm=" << adpm << " seed=" << seed;
   // The final design is still sound.
@@ -216,9 +214,9 @@ TEST(BlunderRobustness, ErrorsCostOperations) {
   SimulationOptions sloppy = clean;
   sloppy.blunderRate = 0.25;
   const CellStats a =
-      runSeedSweep(scenarios::sensingSystemScenario(), clean, 10);
+      runSeedSweep(gen::scenarioByName("sensing"), clean, 10);
   const CellStats b =
-      runSeedSweep(scenarios::sensingSystemScenario(), sloppy, 10);
+      runSeedSweep(gen::scenarioByName("sensing"), sloppy, 10);
   EXPECT_EQ(a.completed, a.runs);
   EXPECT_EQ(b.completed, b.runs);
   EXPECT_GT(b.operations.mean(), a.operations.mean());

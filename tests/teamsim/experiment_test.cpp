@@ -1,3 +1,4 @@
+#include "gen/registry.hpp"
 #include "teamsim/experiment.hpp"
 
 #include <gtest/gtest.h>
@@ -6,9 +7,6 @@
 
 #include "util/error.hpp"
 
-#include "scenarios/receiver.hpp"
-#include "scenarios/sensing.hpp"
-#include "scenarios/walkthrough.hpp"
 #include "teamsim/statwindow.hpp"
 
 namespace adpm::teamsim {
@@ -17,7 +15,7 @@ namespace {
 TEST(Experiment, SeedSweepAggregates) {
   SimulationOptions base;
   base.adpm = true;
-  const CellStats cell = runSeedSweep(scenarios::walkthroughScenario(), base,
+  const CellStats cell = runSeedSweep(gen::scenarioByName("walkthrough"), base,
                                       8, 1, "walkthrough/ADPM");
   EXPECT_EQ(cell.runs, 8u);
   EXPECT_EQ(cell.completed, 8u);
@@ -34,7 +32,7 @@ TEST(Experiment, ComparisonShapesMatchThePaper) {
   // with a smaller sample.
   SimulationOptions base;
   const Comparison cmp =
-      compareApproaches(scenarios::sensingSystemScenario(), base, 10);
+      compareApproaches(gen::scenarioByName("sensing"), base, 10);
 
   EXPECT_EQ(cmp.adpm.completed, cmp.adpm.runs);
   EXPECT_EQ(cmp.conventional.completed, cmp.conventional.runs);
@@ -73,7 +71,7 @@ TEST(Experiment, ParallelSweepMatchesSerialOnReceiver) {
   // the large sweeps run.
   SimulationOptions base;
   base.adpm = true;
-  const auto spec = scenarios::receiverScenario();
+  const auto spec = gen::scenarioByName("receiver");
   expectSameCell(runSeedSweepParallel(spec, base, 6, 1, "p", 3),
                  runSeedSweep(spec, base, 6, 1, "s"));
 
@@ -94,7 +92,7 @@ TEST(Experiment, ParallelSweepAutoThreadCountMatchesSerial) {
   // result, never divide by zero or spawn nothing.
   SimulationOptions base;
   base.adpm = true;
-  const auto spec = scenarios::walkthroughScenario();
+  const auto spec = gen::scenarioByName("walkthrough");
   expectSameCell(runSeedSweepParallel(spec, base, 4, 1, "auto", 0),
                  runSeedSweep(spec, base, 4, 1, "serial"));
 }
@@ -120,7 +118,7 @@ TEST(StatWindow, RendersPanel) {
   SimulationOptions base;
   base.adpm = true;
   base.seed = 5;
-  SimulationEngine engine(scenarios::walkthroughScenario(), base);
+  SimulationEngine engine(gen::scenarioByName("walkthrough"), base);
   engine.run();
   const std::string panel = renderStatisticsWindow(engine);
   EXPECT_NE(panel.find("Design Process Statistics"), std::string::npos);
@@ -133,7 +131,7 @@ TEST(StatWindow, RendersPanel) {
 TEST(StatWindow, HistoryStripHandlesMetrics) {
   SimulationOptions base;
   base.adpm = false;
-  SimulationEngine engine(scenarios::walkthroughScenario(), base);
+  SimulationEngine engine(gen::scenarioByName("walkthrough"), base);
   engine.run();
   for (const char* metric :
        {"violationsFound", "violationsKnown", "evaluations", "spins"}) {

@@ -1,10 +1,10 @@
+#include "gen/registry.hpp"
 #include "teamsim/export.hpp"
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 
-#include "scenarios/walkthrough.hpp"
 #include "teamsim/graphviz.hpp"
 #include "util/strings.hpp"
 
@@ -15,7 +15,7 @@ SimulationEngine runEngine(bool adpm) {
   SimulationOptions options;
   options.adpm = adpm;
   options.seed = 3;
-  SimulationEngine engine(scenarios::walkthroughScenario(), options);
+  SimulationEngine engine(gen::scenarioByName("walkthrough"), options);
   engine.run();
   return engine;
 }
@@ -50,7 +50,7 @@ TEST(ExportProfile, PadsShorterRunWithZeros) {
 TEST(ExportCells, WritesAggregates) {
   SimulationOptions base;
   base.adpm = true;
-  const CellStats cell = runSeedSweep(scenarios::walkthroughScenario(), base,
+  const CellStats cell = runSeedSweep(gen::scenarioByName("walkthrough"), base,
                                       4, 1, "walkthrough/ADPM");
   std::ostringstream out;
   writeCellsCsv(out, {cell});
@@ -92,7 +92,7 @@ TEST(Graphviz, ExportsNetworkWithStatusesAndClusters) {
   SimulationOptions options;
   options.adpm = true;
   options.seed = 3;
-  SimulationEngine engine(scenarios::walkthroughScenario(), options);
+  SimulationEngine engine(gen::scenarioByName("walkthrough"), options);
   engine.run();
   const std::string dot = toGraphviz(engine.manager());
   EXPECT_NE(dot.find("graph constraint_network {"), std::string::npos);
@@ -109,9 +109,9 @@ TEST(ParallelSweep, MatchesSerialAggregates) {
   SimulationOptions base;
   base.adpm = false;  // conventional has real variance to compare
   const CellStats serial =
-      runSeedSweep(scenarios::walkthroughScenario(), base, 12, 1, "s");
+      runSeedSweep(gen::scenarioByName("walkthrough"), base, 12, 1, "s");
   const CellStats parallel = runSeedSweepParallel(
-      scenarios::walkthroughScenario(), base, 12, 1, "p", 4);
+      gen::scenarioByName("walkthrough"), base, 12, 1, "p", 4);
   EXPECT_EQ(parallel.runs, serial.runs);
   EXPECT_EQ(parallel.completed, serial.completed);
   EXPECT_NEAR(parallel.operations.mean(), serial.operations.mean(), 1e-9);

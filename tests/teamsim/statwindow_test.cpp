@@ -1,8 +1,8 @@
+#include "gen/registry.hpp"
 #include "teamsim/statwindow.hpp"
 
 #include <gtest/gtest.h>
 
-#include "scenarios/walkthrough.hpp"
 #include "teamsim/graphviz.hpp"
 #include "util/error.hpp"
 
@@ -13,7 +13,7 @@ SimulationEngine finished(bool adpm, std::uint64_t seed = 3) {
   SimulationOptions options;
   options.adpm = adpm;
   options.seed = seed;
-  SimulationEngine engine(scenarios::walkthroughScenario(), options);
+  SimulationEngine engine(gen::scenarioByName("walkthrough"), options);
   engine.run();
   return engine;
 }
@@ -45,7 +45,7 @@ TEST(StatWindow, ConstraintCountIsActiveCount) {
   // Before any decomposition, staged constraints are not displayed.
   SimulationOptions options;
   options.adpm = true;
-  SimulationEngine engine(scenarios::walkthroughScenario(), options);
+  SimulationEngine engine(gen::scenarioByName("walkthrough"), options);
   const std::string panel = renderStatisticsWindow(engine);
   const std::string expected =
       std::to_string(engine.manager().network().activeConstraintCount());
@@ -82,7 +82,7 @@ TEST(Graphviz, StagedConstraintsRenderDashed) {
   // a fresh engine on the sensing case where children defer.
   SimulationOptions options;
   options.adpm = true;
-  SimulationEngine engine(scenarios::walkthroughScenario(), options);
+  SimulationEngine engine(gen::scenarioByName("walkthrough"), options);
   // The walkthrough's problems start ready; instead check that the export
   // of a mid-run engine parses structurally: every edge references a node.
   engine.run();
