@@ -22,6 +22,13 @@ Rules (each scoped to src/ unless noted):
                  cases, so no second, hand-built copy can creep back into
                  src/.  The definitions live in dpm/scenario and in the
                  same-named network/manager methods it instantiates into.
+  std-thread     std::thread objects are created only by the executor's
+                 worker pool, the experiment runner, the wire load driver
+                 (client side), and net/server (the reactor thread and the
+                 shutdown drain helper).  Nothing else may start a thread —
+                 in particular not one per connection or subscription.
+                 std::thread:: qualifiers (id, hardware_concurrency) are
+                 fine anywhere.
 
 Matching happens on comment- and string-stripped source (except the
 failpoint scan, which reads names out of string literals), so prose
@@ -93,6 +100,18 @@ SCENARIO_BUILD_ALLOW = {
     "dpm/manager.cpp",
     "constraint/network.hpp",
     "constraint/network.cpp",
+}
+
+# std::thread objects and the files allowed to create them.  A following
+# "::" (std::thread::id, std::thread::hardware_concurrency) is not a thread.
+STD_THREAD_RE = re.compile(r"\bstd::j?thread\b(?!\s*::)")
+STD_THREAD_ALLOW = {
+    "util/executor.hpp",
+    "util/executor.cpp",
+    "teamsim/experiment.cpp",
+    "net/wire_load.cpp",
+    "net/server.hpp",
+    "net/server.cpp",
 }
 
 FAULT_POINT_RE = re.compile(r'ADPM_FAULT_POINT\(\s*"([^"]+)"\s*\)')
@@ -207,6 +226,10 @@ def main() -> int:
         """dddl/parser.cpp and gen/generator.cpp (SCENARIO_BUILD_ALLOW)"""
         return name in SCENARIO_BUILD_ALLOW
 
+    def thread_allowed(name: str) -> bool:
+        """util/executor, experiment.cpp, wire_load.cpp and net/server"""
+        return name in STD_THREAD_ALLOW
+
     raw_io_re = re.compile(
         r"(?:\bstd::|::)?\b(?:" + "|".join(RAW_IO_TOKENS) + r")\s*\("
     )
@@ -220,6 +243,7 @@ def main() -> int:
     findings += check_token_rule(
         files, "scenario-source", SCENARIO_BUILD_RE, scenario_build_allowed
     )
+    findings += check_token_rule(files, "std-thread", STD_THREAD_RE, thread_allowed)
 
     for f in findings:
         print(f)

@@ -70,7 +70,6 @@ bool Reactor::send(ConnId conn, FrameType type, std::string_view payload) {
     if (it == conns_.end() || it->second->closing) return false;
     Conn& c = *it->second;
     c.outbuf.append(bytes);
-    if (pendingOf(c) >= options_.writeHighWater) c.wasAboveHighWater = true;
   }
   wakeup();
   return true;
@@ -201,7 +200,6 @@ bool Reactor::handleReadable(ConnId id) {
 
 bool Reactor::handleWritable(ConnId id) {
   std::string failure;
-  bool fireWritable = false;
   bool closeNow = false;
   {
     util::LockGuard lock(mutex_);
@@ -227,10 +225,6 @@ bool Reactor::handleWritable(ConnId id) {
         c.outbuf.erase(0, c.outPos);
         c.outPos = 0;
       }
-      if (c.wasAboveHighWater && pendingOf(c) <= options_.writeLowWater) {
-        c.wasAboveHighWater = false;
-        fireWritable = true;
-      }
       closeNow = c.closing && pendingOf(c) == 0;
     }
   }
@@ -238,7 +232,6 @@ bool Reactor::handleWritable(ConnId id) {
     destroyConn(id, failure);
     return false;
   }
-  if (fireWritable && handlers_.onWritable) handlers_.onWritable(id);
   if (closeNow) {
     destroyConn(id, "closed after flush");
     return false;
@@ -264,6 +257,7 @@ void Reactor::run() {
       }
     }
     for (const ConnId id : retire) destroyConn(id, "closed");
+    if (handlers_.onLoop) handlers_.onLoop();
 
     fds.clear();
     ids.clear();

@@ -5,18 +5,18 @@
 // every socket is non-blocking, poll() multiplexes readiness, incoming
 // bytes are fed through a FrameParser per connection, and complete frames
 // are handed to the onFrame handler *on the reactor thread*.  Outbound
-// frames go through send(), which is thread-safe — session strands and
-// subscription pumps call it from pool threads; the bytes are queued on the
-// connection's write buffer and the reactor is woken through a self-pipe to
-// flush them.
+// frames go through send(), which is thread-safe — session strands call it
+// from pool threads; the bytes are queued on the connection's write buffer
+// and the reactor is woken through a self-pipe to flush them.
 //
 // Backpressure is explicit: queuedBytes(conn) reports the unflushed
-// outbound bytes, and when a buffer that had grown past `writeHighWater`
-// drains back below `writeLowWater` the onWritable handler fires — the
-// subscription pumps park on that signal, which stalls their bus queues,
-// which trips the NotificationBus's degraded mode (service/bus.hpp).  A
-// slow consumer therefore costs one coalesced ResyncRequired marker, never
-// unbounded server memory and never a parked session strand.
+// outbound bytes, and the onLoop handler runs once per loop iteration on
+// the reactor thread.  The server drains its subscription queues there,
+// sending only while a connection is below `writeHighWater` — so a slow
+// reader leaves its bus queues undrained, which trips the
+// NotificationBus's degraded mode (service/bus.hpp).  A slow consumer
+// therefore costs one coalesced ResyncRequired marker, never unbounded
+// server memory and never a parked session strand.
 //
 // A protocol error (malformed frame) closes the connection after an
 // optional farewell frame: a corrupt byte stream has no recoverable frame
@@ -43,8 +43,6 @@ class Reactor {
   struct Options {
     /// Outbound bytes above which senders should pause (see queuedBytes).
     std::size_t writeHighWater = 1u << 20;
-    /// Drain level at which onWritable fires for a previously-full conn.
-    std::size_t writeLowWater = 64u << 10;
     std::size_t maxFramePayload = kMaxFramePayload;
   };
 
@@ -56,9 +54,9 @@ class Reactor {
     /// The connection is gone — peer closed, hard error, protocol error, or
     /// explicit close() (reactor thread; the conn id is already invalid).
     std::function<void(ConnId, const std::string& reason)> onClose;
-    /// The write buffer drained below the low-water mark after having been
-    /// above the high-water mark (reactor thread).
-    std::function<void(ConnId)> onWritable;
+    /// Once per loop iteration, before poll() (reactor thread).  Frames it
+    /// sends are flushed in the same iteration.
+    std::function<void()> onLoop;
   };
 
   Reactor(Options options, Handlers handlers);
@@ -93,6 +91,9 @@ class Reactor {
 
   std::size_t connectionCount() const;
 
+  /// Makes run() start another loop iteration.  Thread-safe.
+  void wakeup();
+
  private:
   struct Conn {
     ScopedFd fd;
@@ -100,10 +101,8 @@ class Reactor {
     std::string outbuf;        // unsent bytes (suffix of queued frames)
     std::size_t outPos = 0;    // consumed prefix of outbuf
     bool closing = false;      // no reads; flush then close
-    bool wasAboveHighWater = false;
   };
 
-  void wakeup();
   void handleAccept();
   /// Returns false when the connection died (and was erased).
   bool handleReadable(ConnId id);

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <exception>
+#include <optional>
 #include <utility>
 
 #include "dddl/parser.hpp"
@@ -25,17 +26,12 @@ Server::Server(service::SessionStore& store, Options options)
   handlers.onClose = [this](Reactor::ConnId id, const std::string&) {
     handleClose(id);
   };
-  handlers.onWritable = [this](Reactor::ConnId id) { handleWritable(id); };
+  handlers.onLoop = [this] { drainSubscriptions(); };
   reactor_ = std::make_unique<Reactor>(options_.reactor, std::move(handlers));
 }
 
 Server::~Server() {
   if (running_.load()) kill();
-  reapRetiredPumps();
-  util::LockGuard lock(mutex_);
-  for (auto& pump : retiredPumps_) {
-    if (pump->thread.joinable()) pump->thread.join();
-  }
 }
 
 std::uint16_t Server::start() {
@@ -70,9 +66,8 @@ void Server::handleAccept(Reactor::ConnId conn) {
   ++accepted_;
   {
     util::LockGuard lock(mutex_);
-    conns_.emplace(conn, ConnState{});
+    conns_.emplace(conn, std::vector<Subscription>{});
   }
-  reapRetiredPumps();
 }
 
 void Server::handleClose(Reactor::ConnId conn) {
@@ -80,60 +75,42 @@ void Server::handleClose(Reactor::ConnId conn) {
   retireConn(conn);
 }
 
-void Server::handleWritable(Reactor::ConnId conn) {
-  std::shared_ptr<Gate> gate;
-  {
-    util::LockGuard lock(mutex_);
-    const auto it = conns_.find(conn);
-    if (it == conns_.end()) return;
-    gate = it->second.gate;
-  }
-  {
-    util::LockGuard lock(gate->mutex);
-  }
-  gate->cv.notify_all();
-}
-
 void Server::retireConn(Reactor::ConnId conn) {
-  ConnState state;
+  std::vector<Subscription> subs;
   {
     util::LockGuard lock(mutex_);
     const auto it = conns_.find(conn);
     if (it == conns_.end()) return;
-    state = std::move(it->second);
+    subs = std::move(it->second);
     conns_.erase(it);
   }
-  {
-    util::LockGuard lock(state.gate->mutex);
-    state.gate->open = false;
-  }
-  state.gate->cv.notify_all();
-  for (auto& pump : state.pumps) pump->queue->close();
-  {
-    util::LockGuard lock(mutex_);
-    for (auto& pump : state.pumps) retiredPumps_.push_back(std::move(pump));
-  }
-  reapRetiredPumps();
+  for (const auto& [sessionId, queue] : subs) queue->close();
 }
 
-void Server::reapRetiredPumps() {
-  // Pumps whose loop has exited get joined opportunistically (the join of a
-  // finished thread is immediate); the rest wait for shutdown()/~Server.
-  std::vector<std::unique_ptr<Pump>> done;
-  {
-    util::LockGuard lock(mutex_);
-    auto it = retiredPumps_.begin();
-    while (it != retiredPumps_.end()) {
-      if ((*it)->done.load()) {
-        done.push_back(std::move(*it));
-        it = retiredPumps_.erase(it);
-      } else {
-        ++it;
+void Server::drainSubscriptions() {
+  const std::size_t budget = options_.reactor.writeHighWater;
+  util::LockGuard lock(mutex_);
+  for (auto& entry : conns_) {
+    const Reactor::ConnId conn = entry.first;
+    std::erase_if(entry.second, [&](const Subscription& sub) {
+      const auto& [sessionId, queue] = sub;
+      while (reactor_->queuedBytes(conn) < budget) {
+        // Read closed() first: a queue closed before an empty tryPop() is
+        // drained for good, so the subscription can be forgotten.
+        const bool closed = queue->closed();
+        const std::optional<dpm::Notification> n = queue->tryPop();
+        if (!n) return closed;
+        // A refused send means the connection is closing; its queues are
+        // closed when it is retired.
+        if (!reactor_->send(
+                conn, FrameType::Notification,
+                json::serialize(notificationToJson(sessionId, *n)))) {
+          return false;
+        }
+        ++pushes_;
       }
-    }
-  }
-  for (auto& pump : done) {
-    if (pump->thread.joinable()) pump->thread.join();
+      return false;
+    });
   }
 }
 
@@ -318,8 +295,16 @@ void Server::dispatch(Reactor::ConnId conn, FrameType type,
     case FrameType::Subscribe: {
       const std::string id = req.at("session").asString();
       const std::string designer = req.at("designer").asString();
-      auto queue = store_.subscribe(id, designer);
-      startPump(conn, id, designer, std::move(queue));
+      // The bus keeps this callback past the Server's lifetime; it is safe
+      // because retireConn closes the queue first, and a closed queue
+      // accepts nothing, so publish() never calls it again.
+      auto queue =
+          store_.subscribe(id, designer, [this] { reactor_->wakeup(); });
+      {
+        util::LockGuard lock(mutex_);
+        conns_[conn].emplace_back(id, std::move(queue));
+      }
+      ++subscriptions_;
       json::Value body{json::Object{}};
       body.set("req", reqId);
       body.set("session", id);
@@ -435,64 +420,6 @@ void Server::protocolFailure(Reactor::ConnId conn, const std::string& message) {
   reactor_->close(conn, /*flushFirst=*/true);
 }
 
-// -- subscription pumps -------------------------------------------------------
-
-void Server::startPump(Reactor::ConnId conn, const std::string& sessionId,
-                       const std::string& designer,
-                       std::shared_ptr<service::NotificationBus::Queue> queue) {
-  (void)designer;
-  ++subscriptions_;
-  std::shared_ptr<Gate> gate;
-  Pump* raw = nullptr;
-  {
-    util::LockGuard lock(mutex_);
-    const auto it = conns_.find(conn);
-    if (it == conns_.end()) {
-      queue->close();
-      return;
-    }
-    gate = it->second.gate;
-    auto pump = std::make_unique<Pump>();
-    pump->queue = queue;
-    raw = pump.get();
-    it->second.pumps.push_back(std::move(pump));
-  }
-  raw->thread = std::thread([this, conn, sessionId, queue = std::move(queue),
-                             gate = std::move(gate), raw]() mutable {
-    pumpLoop(conn, std::move(sessionId), std::move(queue), std::move(gate),
-             raw);
-  });
-}
-
-void Server::pumpLoop(Reactor::ConnId conn, std::string sessionId,
-                      std::shared_ptr<service::NotificationBus::Queue> queue,
-                      std::shared_ptr<Gate> gate, Pump* self) {
-  for (;;) {
-    std::optional<dpm::Notification> n = queue->pop();
-    if (!n) break;  // queue closed and drained: session or connection gone
-    const std::string payload =
-        json::serialize(notificationToJson(sessionId, *n));
-    bool alive;
-    {
-      // Backpressure: park while the connection's write buffer is above the
-      // reactor's high-water mark.  While parked, this pump stops draining
-      // its bus queue — which is exactly what arms the bus's degraded mode
-      // for a persistently slow consumer.  The wait re-polls on a short
-      // timer as well as on the onWritable signal.
-      util::UniqueLock lock(gate->mutex);
-      while (gate->open && !stopping_.load() &&
-             reactor_->queuedBytes(conn) >= options_.reactor.writeHighWater) {
-        (void)gate->cv.wait_for(lock, std::chrono::milliseconds(50));
-      }
-      alive = gate->open && !stopping_.load();
-    }
-    if (!alive) break;
-    if (!reactor_->send(conn, FrameType::Notification, payload)) break;
-    ++pushes_;
-  }
-  self->done.store(true);
-}
-
 // -- shutdown -----------------------------------------------------------------
 
 bool Server::shutdown(std::chrono::milliseconds drainDeadline) {
@@ -509,7 +436,7 @@ bool Server::shutdown(std::chrono::milliseconds drainDeadline) {
   {
     util::LockGuard lock(mutex_);
     ids.reserve(conns_.size());
-    for (const auto& [id, state] : conns_) ids.push_back(id);
+    for (const auto& [id, subs] : conns_) ids.push_back(id);
   }
   for (const Reactor::ConnId id : ids) {
     reactor_->send(id, FrameType::Shutdown, payload);
@@ -548,14 +475,12 @@ bool Server::shutdown(std::chrono::milliseconds drainDeadline) {
     drainer.detach();
   }
 
-  // Stop the pumps and close every connection — flushing queued responses
-  // and farewells when the drain completed, dropping them when it didn't.
-  stopping_.store(true);
+  // Close every connection — flushing queued responses and farewells when
+  // the drain completed, dropping them when it didn't.
   {
     util::LockGuard lock(mutex_);
-    for (auto& [id, connState] : conns_) connState.gate->cv.notify_all();
     ids.clear();
-    for (const auto& [id, connState] : conns_) ids.push_back(id);
+    for (const auto& [id, subs] : conns_) ids.push_back(id);
   }
   for (const Reactor::ConnId id : ids) {
     reactor_->close(id, /*flushFirst=*/drained);
@@ -569,16 +494,6 @@ bool Server::shutdown(std::chrono::milliseconds drainDeadline) {
 
   reactor_->stop();
   if (reactorThread_.joinable()) reactorThread_.join();
-  // Reactor teardown destroyed the remaining connections, which retired
-  // every pump; join them all.
-  std::vector<std::unique_ptr<Pump>> pumps;
-  {
-    util::LockGuard lock(mutex_);
-    pumps.swap(retiredPumps_);
-  }
-  for (auto& pump : pumps) {
-    if (pump->thread.joinable()) pump->thread.join();
-  }
   running_.store(false);
   return drained;
 }
@@ -586,25 +501,12 @@ bool Server::shutdown(std::chrono::milliseconds drainDeadline) {
 void Server::kill() {
   if (!running_.load()) return;
   draining_.store(true);
-  stopping_.store(true);
-  {
-    util::LockGuard lock(mutex_);
-    for (auto& [id, state] : conns_) state.gate->cv.notify_all();
-  }
   reactor_->stop();
   if (reactorThread_.joinable()) reactorThread_.join();
   // In-flight strand commands capture `this` to send their responses; wait
   // for them (they finish promptly — their sends hit dead connections and
   // drop) so destroying the Server right after kill() is safe.
   store_.drain();
-  std::vector<std::unique_ptr<Pump>> pumps;
-  {
-    util::LockGuard lock(mutex_);
-    pumps.swap(retiredPumps_);
-  }
-  for (auto& pump : pumps) {
-    if (pump->thread.joinable()) pump->thread.join();
-  }
   running_.store(false);
 }
 

@@ -9,14 +9,16 @@
 //     executes the command with exclusive session access and sends the
 //     Result/Error frame itself, so the reactor never blocks on a command
 //     and a session's remote operations serialize exactly like local ones;
-//   * Subscribe registers the connection with the NotificationBus and
-//     spawns a pump that streams the queue as Notification push frames,
-//     parking on the connection's write-backpressure gate when the peer
-//     reads slowly — which fills the bus queue, which trips the bus's
-//     degraded mode, which coalesces the stream into one ResyncRequired
-//     marker (the PR-5 machinery, now end-to-end across the wire);
-//   * Open/Status/CloseSession run inline on the reactor thread (rare,
-//     cheap, or both).
+//   * Subscribe registers a bus queue for the connection, and the reactor
+//     thread drains it into Notification push frames once per loop
+//     iteration (the bus wakes the reactor when it enqueues).  Draining
+//     stops while the connection's write buffer is above the reactor's
+//     high-water mark, so a slow reader fills its bus queue, which trips
+//     the bus's degraded mode, which coalesces the stream into one
+//     ResyncRequired marker.  No thread exists per subscription;
+//   * Open/Status/CloseSession run inline on the reactor thread.  Status is
+//     cheap; Open parses, instantiates and propagates a whole scenario, and
+//     every connection waits while it does.
 //
 // Failures round-trip the util/error.hpp taxonomy by name (see
 // net/protocol.hpp): a queued-too-long command fails with Timeout *without
@@ -37,6 +39,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "dpm/scenario.hpp"
@@ -101,42 +104,24 @@ class Server {
   Stats stats() const;
 
  private:
-  struct Gate {
-    util::Mutex mutex;
-    util::CondVar cv;
-    /// False once the connection died or the server stops.
-    bool open ADPM_GUARDED_BY(mutex) = true;
-  };
-
-  struct Pump {
-    std::thread thread;
-    std::shared_ptr<service::NotificationBus::Queue> queue;
-    std::atomic<bool> done{false};
-  };
-
-  struct ConnState {
-    std::shared_ptr<Gate> gate = std::make_shared<Gate>();
-    std::vector<std::unique_ptr<Pump>> pumps;
-  };
+  /// One Subscribe: the session id (for the push payload) and its queue.
+  using Subscription =
+      std::pair<std::string, std::shared_ptr<service::NotificationBus::Queue>>;
 
   void handleAccept(Reactor::ConnId conn);
   void handleFrame(Reactor::ConnId conn, Frame&& frame);
   void handleClose(Reactor::ConnId conn);
-  void handleWritable(Reactor::ConnId conn);
+  /// The reactor's onLoop hook: turns queued notifications into frames for
+  /// every connection below writeHighWater, and forgets closed, drained
+  /// queues.
+  void drainSubscriptions();
 
   void dispatch(Reactor::ConnId conn, FrameType type,
                 const util::json::Value& req, double reqId);
   void sendResult(Reactor::ConnId conn, util::json::Value body);
   void sendError(Reactor::ConnId conn, double reqId, const std::exception& e);
   void protocolFailure(Reactor::ConnId conn, const std::string& message);
-  void startPump(Reactor::ConnId conn, const std::string& sessionId,
-                 const std::string& designer,
-                 std::shared_ptr<service::NotificationBus::Queue> queue);
-  void pumpLoop(Reactor::ConnId conn, std::string sessionId,
-                std::shared_ptr<service::NotificationBus::Queue> queue,
-                std::shared_ptr<Gate> gate, Pump* self);
   void retireConn(Reactor::ConnId conn);
-  void reapRetiredPumps();
   std::chrono::milliseconds effectiveTimeout() const;
   util::json::Value statusJson();
 
@@ -149,11 +134,10 @@ class Server {
   std::atomic<std::uint16_t> port_{0};
   std::atomic<bool> running_{false};
   std::atomic<bool> draining_{false};
-  std::atomic<bool> stopping_{false};
 
   mutable util::Mutex mutex_;
-  std::map<Reactor::ConnId, ConnState> conns_ ADPM_GUARDED_BY(mutex_);
-  std::vector<std::unique_ptr<Pump>> retiredPumps_ ADPM_GUARDED_BY(mutex_);
+  std::map<Reactor::ConnId, std::vector<Subscription>> conns_
+      ADPM_GUARDED_BY(mutex_);
 
   std::atomic<std::size_t> accepted_{0}, closed_{0}, frames_{0}, results_{0},
       errors_{0}, protocolErrors_{0}, timeouts_{0}, pushes_{0},

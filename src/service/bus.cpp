@@ -1,22 +1,24 @@
 #include "service/bus.hpp"
 
+#include <utility>
+
 #include "util/fault.hpp"
 
 namespace adpm::service {
 
 std::shared_ptr<NotificationBus::Queue> NotificationBus::subscribe(
-    const std::string& sessionId, const std::string& designer) {
+    const std::string& sessionId, const std::string& designer, Wake wake) {
   return subscribe(sessionId, designer, options_.queueCapacity,
-                   options_.overflow);
+                   options_.overflow, std::move(wake));
 }
 
 std::shared_ptr<NotificationBus::Queue> NotificationBus::subscribe(
     const std::string& sessionId, const std::string& designer,
-    std::size_t capacity, util::OverflowPolicy overflow) {
+    std::size_t capacity, util::OverflowPolicy overflow, Wake wake) {
   auto queue = std::make_shared<Queue>(capacity, overflow);
   util::LockGuard lock(mutex_);
-  bySession_[sessionId].push_back(
-      Subscription{designer, queue, std::make_shared<SubscriberState>()});
+  bySession_[sessionId].push_back(Subscription{
+      designer, queue, std::make_shared<SubscriberState>(), std::move(wake)});
   return queue;
 }
 
@@ -55,9 +57,11 @@ void NotificationBus::publish(const std::string& sessionId,
   std::size_t downgrades = 0;
   std::size_t coalesced = 0;
   std::size_t injected = 0;
+  std::vector<bool> enqueued(targets.size(), false);
   for (const dpm::Notification& n : batch) {
     bool routed = false;
-    for (const Subscription& sub : targets) {
+    for (std::size_t i = 0; i < targets.size(); ++i) {
+      const Subscription& sub = targets[i];
       if (sub.designer != n.designer) continue;
       if (hwm > 0) {
         const std::size_t highWater =
@@ -88,7 +92,10 @@ void NotificationBus::publish(const std::string& sessionId,
           resync.stage = n.stage;
           resync.text =
               "subscriber queue saturated; refetch a session snapshot";
-          if (sub.queue->push(std::move(resync))) ++delivered;
+          if (sub.queue->push(std::move(resync))) {
+            ++delivered;
+            enqueued[i] = true;
+          }
           routed = true;
           ++coalesced;
           sub.state->coalesced.fetch_add(1, std::memory_order_relaxed);
@@ -102,9 +109,13 @@ void NotificationBus::publish(const std::string& sessionId,
       if (sub.queue->push(n)) {
         routed = true;
         ++delivered;
+        enqueued[i] = true;
       }
     }
     if (!routed) ++unrouted;
+  }
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    if (enqueued[i] && targets[i].wake) targets[i].wake();
   }
   {
     util::LockGuard lock(mutex_);

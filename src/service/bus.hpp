@@ -23,6 +23,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -53,17 +54,24 @@ class NotificationBus {
   NotificationBus() : NotificationBus(Options{}) {}
   explicit NotificationBus(Options options) : options_(options) {}
 
+  /// Called by publish(), outside the bus lock, once the whole batch is
+  /// routed, for each subscriber it enqueued at least one item for — lets a
+  /// consumer that only tryPop()s sleep until there is something to pop.
+  using Wake = std::function<void()>;
+
   /// Subscribes to one designer's notifications within one session.  The
   /// returned queue lives as long as the caller holds it; multiple
   /// subscribers per (session, designer) each get every notification.
   /// Per-subscription capacity/policy overrides fall back to the bus
   /// defaults when not given.
   std::shared_ptr<Queue> subscribe(const std::string& sessionId,
-                                   const std::string& designer);
+                                   const std::string& designer,
+                                   Wake wake = {});
   std::shared_ptr<Queue> subscribe(const std::string& sessionId,
                                    const std::string& designer,
                                    std::size_t capacity,
-                                   util::OverflowPolicy overflow);
+                                   util::OverflowPolicy overflow,
+                                   Wake wake = {});
 
   /// Publishes one operation's fan-out, routing each notification to the
   /// subscribers of (sessionId, notification.designer).  Notifications for
@@ -128,6 +136,7 @@ class NotificationBus {
     std::string designer;
     std::shared_ptr<Queue> queue;
     std::shared_ptr<SubscriberState> state;
+    Wake wake;
   };
 
   Options options_;

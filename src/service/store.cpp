@@ -315,7 +315,8 @@ std::future<SessionSnapshot> SessionStore::snapshot(const std::string& id) {
 }
 
 std::shared_ptr<NotificationBus::Queue> SessionStore::subscribe(
-    const std::string& id, const std::string& designer) {
+    const std::string& id, const std::string& designer,
+    NotificationBus::Wake wake) {
   // Hold the store lock across the existence check *and* the bus
   // registration: a concurrent close(id) then either runs after us (and
   // closes the new queue with the rest) or before us (and we throw) — never
@@ -326,7 +327,7 @@ std::shared_ptr<NotificationBus::Queue> SessionStore::subscribe(
   if (!sessions_.contains(id)) {
     throw adpm::InvalidArgumentError("unknown session '" + id + "'");
   }
-  return bus_.subscribe(id, designer);
+  return bus_.subscribe(id, designer, std::move(wake));
 }
 
 }  // namespace adpm::service

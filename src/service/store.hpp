@@ -157,8 +157,10 @@ class SessionStore {
 
   std::future<SessionSnapshot> snapshot(const std::string& id);
 
+  /// `wake` is forwarded to NotificationBus::subscribe.
   std::shared_ptr<NotificationBus::Queue> subscribe(
-      const std::string& id, const std::string& designer);
+      const std::string& id, const std::string& designer,
+      NotificationBus::Wake wake = {});
 
   /// Escape hatch for drivers (load generator, CLI): runs `fn` with
   /// exclusive access to the session on its strand.  Bypasses the command

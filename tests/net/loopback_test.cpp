@@ -1,20 +1,26 @@
 // End-to-end wire tests: a real net::Server on a loopback socket, driven by
-// net::Client / runWireLoad.  Covers the ISSUE-6 acceptance surface:
-// concurrent clients with digest verification, WAL recovery bit-identity
-// across the process boundary (simulated by a fresh store), graceful
-// shutdown semantics, the typed error taxonomy over the wire, subscription
-// pushes, and malformed-frame handling.
+// net::Client / runWireLoad.  Covers concurrent clients with digest
+// verification, WAL recovery bit-identity across the process boundary
+// (simulated by a fresh store), graceful shutdown semantics, the typed error
+// taxonomy over the wire, subscription pushes (no thread per subscription,
+// slow-consumer degradation, pushes from in-process publishers), and
+// malformed-frame handling.
 #include <gtest/gtest.h>
+
+#include <sys/socket.h>
 
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <fstream>
+#include <future>
 #include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "dddl/writer.hpp"
+#include "dpm/scenario.hpp"
 #include "gen/registry.hpp"
 #include "net/client.hpp"
 #include "net/frame.hpp"
@@ -35,6 +41,60 @@ using namespace std::chrono_literals;
 std::string sensingDddl() {
   static const std::string text = dddl::write(gen::scenarioByName("sensing"));
   return text;
+}
+
+/// `Threads:` from /proc/self/status.
+std::size_t processThreads() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoul(line.substr(8));
+  }
+  return 0;
+}
+
+/// Line count of /proc/self/maps: one line per memory mapping.
+std::size_t processMappings() {
+  std::ifstream in("/proc/self/maps");
+  std::size_t lines = 0;
+  for (std::string line; std::getline(in, line);) ++lines;
+  return lines;
+}
+
+/// Two designers sharing one budget constraint x + y <= cap (cap = 50):
+/// ana's x alternating between 30 and 5 against ben's y = 40 flips the
+/// constraint between violated and satisfied, so every such op notifies
+/// both designers.
+dpm::ScenarioSpec budgetScenario() {
+  using constraint::Relation;
+  using interval::Domain;
+  dpm::ScenarioSpec s;
+  s.name = "budget";
+  s.addObject("sys");
+  s.addObject("a", "sys");
+  s.addObject("b", "sys");
+  const auto cap = s.addProperty("cap", "sys", Domain::continuous(10, 100));
+  const auto x = s.addProperty("x", "a", Domain::continuous(0, 100));
+  const auto y = s.addProperty("y", "b", Domain::continuous(0, 100));
+  s.addConstraint(
+      {"budget", s.pvar(x) + s.pvar(y), Relation::Le, s.pvar(cap), {}});
+  s.addProblem({"Top", "sys", "lead", {}, {cap}, {0}, std::nullopt, {}, true});
+  s.addProblem({"A", "a", "ana", {cap}, {x}, {0},
+                std::optional<std::size_t>{0}, {}, true});
+  s.addProblem({"B", "b", "ben", {cap}, {y}, {0},
+                std::optional<std::size_t>{0}, {}, true});
+  s.require(cap, 50.0);
+  return s;
+}
+
+dpm::Operation synth(std::uint32_t prob, const char* designer,
+                     std::uint32_t pid, double v) {
+  dpm::Operation op;
+  op.kind = dpm::OperatorKind::Synthesis;
+  op.problem = dpm::ProblemId{prob};
+  op.designer = designer;
+  op.assignments.emplace_back(constraint::PropertyId{pid}, v);
+  return op;
 }
 
 class LoopbackTest : public ::testing::Test {
@@ -257,6 +317,45 @@ TEST_F(LoopbackTest, StatusReportsSessionsAndSubscriberQueues) {
   EXPECT_TRUE(server.shutdown(5s));
 }
 
+TEST_F(LoopbackTest, SubscriptionsStartNoThreadsAndLeaveNoMappings) {
+  // Subscription queues drain on the reactor thread: subscribing starts no
+  // thread, and a long-lived connection that keeps opening, subscribing to
+  // and closing sessions leaves no per-subscription state (thread stacks
+  // in particular) behind.
+  service::SessionStore store{storeOptions()};
+  Server server(store, Server::Options{});
+  const std::uint16_t port = server.start();
+
+  Client client{clientOptions(port)};
+  client.connect();
+  client.openDddl("live", sensingDddl(), true);
+  const std::size_t threadsBefore = processThreads();
+  for (int i = 0; i < 8; ++i) {
+    client.subscribe("live", "watcher-" + std::to_string(i));
+  }
+  EXPECT_EQ(processThreads(), threadsBefore);
+  client.closeSession("live");
+
+  // Warm-up cycle so allocator arenas and lazily mapped code settle.
+  client.openDddl("churn", sensingDddl(), true);
+  client.subscribe("churn", "watcher");
+  client.closeSession("churn");
+  const std::size_t mappingsBefore = processMappings();
+  for (int i = 0; i < 300; ++i) {
+    const std::string id = "churn-" + std::to_string(i);
+    client.openDddl(id, sensingDddl(), true);
+    for (int k = 0; k < 3; ++k) {
+      client.subscribe(id, "watcher-" + std::to_string(k));
+    }
+    client.closeSession(id);
+  }
+  EXPECT_LE(processMappings(), mappingsBefore + 16);
+  EXPECT_EQ(processThreads(), threadsBefore);
+  EXPECT_EQ(server.stats().subscriptions, 8u + 1u + 300u * 3u);
+
+  EXPECT_TRUE(server.shutdown(5s));
+}
+
 // -- raw-socket protocol violations -------------------------------------------
 
 namespace {
@@ -336,6 +435,126 @@ TEST_F(LoopbackTest, NonRequestFrameTypeIsAProtocolViolation) {
   ASSERT_EQ(frames.size(), 1u);
   EXPECT_EQ(frames[0].type, FrameType::Error);
   EXPECT_TRUE(sawEof);
+
+  EXPECT_TRUE(server.shutdown(5s));
+}
+
+// -- subscription delivery over a raw socket ----------------------------------
+
+namespace {
+
+/// A wire subscriber that only reads when told to.
+struct RawSubscriber {
+  ScopedFd fd;
+  FrameParser parser;
+
+  RawSubscriber(std::uint16_t port, const std::string& session,
+                const std::string& designer)
+      : fd(connectTcp("127.0.0.1", port, 2000)) {
+    json::Value req{json::Object{}};
+    req.set("req", 1);
+    req.set("session", session);
+    req.set("designer", designer);
+    writeRaw(fd.get(), encodeFrame(FrameType::Subscribe, json::serialize(req)));
+    const std::vector<Frame> reply = readUntil(
+        3000, [](const Frame& f) { return f.type == FrameType::Result; });
+    EXPECT_FALSE(reply.empty()) << "no Subscribe result";
+  }
+
+  /// Reads frames until one satisfies `stop` or `timeoutMs` passes; returns
+  /// every frame read.
+  template <typename Pred>
+  std::vector<Frame> readUntil(int timeoutMs, Pred stop) {
+    std::vector<Frame> frames;
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::milliseconds(timeoutMs);
+    for (;;) {
+      while (std::optional<Frame> f = parser.next()) {
+        frames.push_back(std::move(*f));
+        if (stop(frames.back())) return frames;
+      }
+      if (std::chrono::steady_clock::now() >= deadline) return frames;
+      if (!waitFd(fd.get(), /*forWrite=*/false, 50)) continue;
+      char buf[64 * 1024];
+      const IoResult r = readSome(fd.get(), buf, sizeof buf);
+      if (r.status == IoStatus::Eof) return frames;
+      if (r.status == IoStatus::Ok) parser.feed(buf, r.n);
+    }
+  }
+};
+
+bool isNotificationOfKind(const Frame& f, const char* kind) {
+  return f.type == FrameType::Notification &&
+         json::parse(f.payload).at("kind").asString() == kind;
+}
+
+}  // namespace
+
+TEST_F(LoopbackTest, SlowWireConsumerDegradesInsteadOfParkingAStrand) {
+  // A subscriber that stops reading fills its socket buffers, then the
+  // connection's write buffer past the reactor's high-water mark; from then
+  // on its bus queue is not drained, so the bus downgrades it to one
+  // coalesced ResyncRequired marker.  The publishing strand never waits on
+  // the slow reader.
+  service::SessionStore::Options so = storeOptions();
+  so.bus.queueCapacity = 64;
+  so.bus.degradeHighWater = 16;
+  so.command.timeout = 5s;
+  service::SessionStore store{so};
+  Server::Options opts;
+  opts.reactor.writeHighWater = 4096;
+  Server server(store, opts);
+  const std::uint16_t port = server.start();
+
+  store.open("slow", budgetScenario(), /*adpm=*/true);
+  RawSubscriber sub(port, "slow", "ana");
+
+  store.applyOperation("slow", synth(2, "ben", 2, 40.0)).get();
+  const auto deadline = store.options().command.timeout;
+  for (int i = 0; i < 200000 && store.bus().downgrades() == 0; ++i) {
+    auto done = store.applyOperation(
+        "slow", synth(1, "ana", 1, i % 2 == 0 ? 30.0 : 5.0));
+    ASSERT_EQ(done.wait_for(deadline), std::future_status::ready)
+        << "apply " << i << " parked behind the slow subscriber";
+    done.get();
+  }
+  EXPECT_GT(store.bus().downgrades(), 0u);
+
+  const std::vector<Frame> frames = sub.readUntil(5000, [](const Frame& f) {
+    return isNotificationOfKind(f, "ResyncRequired");
+  });
+  ASSERT_FALSE(frames.empty());
+  EXPECT_TRUE(isNotificationOfKind(frames.back(), "ResyncRequired"))
+      << "read " << frames.size() << " frames without a ResyncRequired";
+
+  EXPECT_TRUE(server.shutdown(5s));
+}
+
+TEST_F(LoopbackTest, PushesFromAnInProcessPublisherReachTheWire) {
+  // The subscriber sends nothing after subscribing, and the operations are
+  // applied in-process, not over the wire: only the bus waking the reactor
+  // can get these notifications onto the socket.
+  service::SessionStore store{storeOptions()};
+  Server server(store, Server::Options{});
+  const std::uint16_t port = server.start();
+
+  store.open("local", budgetScenario(), /*adpm=*/true);
+  RawSubscriber sub(port, "local", "ana");
+
+  store
+      .withSession("local",
+                   [](service::Session& s) {
+                     (void)s.apply(synth(2, "ben", 2, 40.0));
+                     (void)s.apply(synth(1, "ana", 1, 30.0));
+                   })
+      .get();
+
+  const std::vector<Frame> frames = sub.readUntil(
+      2000, [](const Frame& f) { return f.type == FrameType::Notification; });
+  ASSERT_FALSE(frames.empty()) << "no Notification within 2 s";
+  EXPECT_EQ(frames.back().type, FrameType::Notification);
+  EXPECT_EQ(json::parse(frames.back().payload).at("session").asString(),
+            "local");
 
   EXPECT_TRUE(server.shutdown(5s));
 }

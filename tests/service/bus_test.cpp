@@ -62,6 +62,26 @@ TEST(NotificationBus, EverySubscriberOfASeatGetsEveryNotification) {
   EXPECT_EQ(bus.delivered(), 2u);  // two queue acceptances of one event
 }
 
+TEST(NotificationBus, WakeFiresOncePerPublishForEachFedSubscriber) {
+  NotificationBus bus;
+  int anaWakes = 0;
+  int benWakes = 0;
+  auto ana = bus.subscribe("s1", "ana", [&] { ++anaWakes; });
+  auto ben = bus.subscribe("s1", "ben", [&] { ++benWakes; });
+
+  bus.publish("s1", {note("ana"), note("ana"), note("nobody")});
+  EXPECT_EQ(anaWakes, 1);  // one wake covers the whole batch
+  EXPECT_EQ(benWakes, 0);  // nothing enqueued for ben
+  bus.publish("s1", {note("ben")});
+  EXPECT_EQ(anaWakes, 1);
+  EXPECT_EQ(benWakes, 1);
+
+  // A closed queue accepts nothing, so there is nothing to wake for.
+  ana->close();
+  bus.publish("s1", {note("ana")});
+  EXPECT_EQ(anaWakes, 1);
+}
+
 TEST(NotificationBus, DropOldestOverflowIsCounted) {
   NotificationBus bus;
   auto q = bus.subscribe("s1", "ana", 2, util::OverflowPolicy::DropOldest);
