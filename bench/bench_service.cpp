@@ -248,8 +248,9 @@ void BM_ServiceWire(benchmark::State& state) {
   // session through a TCP connection against a net::Server (one connection
   // + shadow manager per session, loopback).  ops_per_sec is the end-to-end
   // wire throughput; apply_rtt_us the mean Apply request/response round
-  // trip; bus_downgrades counts subscription streams the NotificationBus
-  // collapsed into ResyncRequired under write backpressure.
+  // trip; bus_downgrades counts the times a subscription queue reached the
+  // bus's high-water mark (NotificationBus::kHighWater) under write
+  // backpressure and its stream collapsed into one ResyncRequired.
   const std::string dddlText = dddl::write(gen::scenarioByName("sensing"));
   const std::size_t clients = static_cast<std::size_t>(state.range(0));
 

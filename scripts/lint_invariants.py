@@ -29,6 +29,12 @@ Rules (each scoped to src/ unless noted):
                  in particular not one per connection or subscription.
                  std::thread:: qualifiers (id, hardware_concurrency) are
                  fine anywhere.
+  condvar        util::CondVar / std::condition_variable appear only in
+                 util/thread_annotations.hpp (the wrapper), the executor
+                 (workers waiting for tasks, drain() waiting for idle) and
+                 net/server.cpp (the bounded shutdown drain).  Everything
+                 else polls or is woken by callback; in particular the
+                 notification queues never block either side.
 
 Matching happens on comment- and string-stripped source (except the
 failpoint scan, which reads names out of string literals), so prose
@@ -111,6 +117,17 @@ STD_THREAD_ALLOW = {
     "teamsim/experiment.cpp",
     "net/wire_load.cpp",
     "net/server.hpp",
+    "net/server.cpp",
+}
+
+# Condition variables and the files allowed to declare them.
+CONDVAR_RE = re.compile(
+    r"\b(?:util::)?CondVar\b|\bstd::condition_variable(?:_any)?\b"
+)
+CONDVAR_ALLOW = {
+    "util/thread_annotations.hpp",
+    "util/executor.hpp",
+    "util/executor.cpp",
     "net/server.cpp",
 }
 
@@ -230,6 +247,10 @@ def main() -> int:
         """util/executor, experiment.cpp, wire_load.cpp and net/server"""
         return name in STD_THREAD_ALLOW
 
+    def condvar_allowed(name: str) -> bool:
+        """util/thread_annotations.hpp, util/executor and net/server.cpp"""
+        return name in CONDVAR_ALLOW
+
     raw_io_re = re.compile(
         r"(?:\bstd::|::)?\b(?:" + "|".join(RAW_IO_TOKENS) + r")\s*\("
     )
@@ -244,6 +265,7 @@ def main() -> int:
         files, "scenario-source", SCENARIO_BUILD_RE, scenario_build_allowed
     )
     findings += check_token_rule(files, "std-thread", STD_THREAD_RE, thread_allowed)
+    findings += check_token_rule(files, "condvar", CONDVAR_RE, condvar_allowed)
 
     for f in findings:
         print(f)

@@ -14,7 +14,7 @@ namespace json = util::json;
 using Clock = std::chrono::steady_clock;
 
 Client::Client(Options options)
-    : options_(std::move(options)), rng_(options_.jitterSeed) {}
+    : options_(std::move(options)), rng_(options_.retry.jitterSeed) {}
 
 Client::~Client() { close(); }
 
@@ -227,24 +227,12 @@ util::json::Value Client::request(FrameType type, json::Value body) {
     } catch (const adpm::TransientError&) {
       // The command did not execute (that is what Transient means on the
       // wire); retry with the store's backoff policy, client-side.
-      if (attempt >= options_.maxAttempts) throw;
+      if (attempt >= options_.retry.maxAttempts) throw;
       ++transientRetries_;
-      backoffBeforeRetry(attempt);
+      const auto delay = options_.retry.backoff(attempt, rng_);
+      if (delay.count() > 0) std::this_thread::sleep_for(delay);
     }
   }
-}
-
-void Client::backoffBeforeRetry(unsigned attempt) {
-  double micros = static_cast<double>(options_.backoffBase.count());
-  for (unsigned i = 1; i < attempt; ++i) micros *= 2.0;
-  micros = std::min(micros, static_cast<double>(options_.backoffCap.count()));
-  double factor = 1.0;
-  if (options_.jitter > 0.0) {
-    factor = rng_.uniform(1.0 - options_.jitter, 1.0 + options_.jitter);
-  }
-  const auto delay =
-      std::chrono::microseconds(static_cast<std::int64_t>(micros * factor));
-  if (delay.count() > 0) std::this_thread::sleep_for(delay);
 }
 
 // -- typed commands -----------------------------------------------------------

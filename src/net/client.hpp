@@ -12,9 +12,9 @@
 // Failure semantics mirror service::CommandPolicy from the far side of the
 // wire: an Error frame re-throws the *typed* exception it encodes
 // (net/protocol.hpp), and TransientError responses are retried here — with
-// the same capped exponential backoff and seeded jitter the store uses —
-// because a Transient failure is, by its contract, one where the command
-// did NOT execute.  A ConnectionError is never silently retried: whether
+// the store's util::RetryPolicy backoff and seeded jitter — because a
+// Transient failure is, by its contract, one where the command did NOT
+// execute.  A ConnectionError is never silently retried: whether
 // the in-flight command executed is unknown, and the caller must
 // reconnect() and resynchronize from a snapshot (wire_load.cpp shows the
 // stage-comparison resync).
@@ -35,6 +35,7 @@
 #include "net/socket.hpp"
 #include "service/session.hpp"
 #include "util/json.hpp"
+#include "util/retry.hpp"
 #include "util/rng.hpp"
 
 namespace adpm::net {
@@ -47,12 +48,9 @@ class Client {
     int connectTimeoutMs = 5000;
     /// Per-attempt deadline for one response (TimeoutError past it).
     std::chrono::milliseconds requestTimeout{10000};
-    /// CommandPolicy mirror: total attempts for TransientError responses.
-    unsigned maxAttempts = 3;
-    std::chrono::microseconds backoffBase{200};
-    std::chrono::microseconds backoffCap{50000};
-    double jitter = 0.5;
-    std::uint64_t jitterSeed = 0x5eed;
+    /// Retries for TransientError responses — the store's policy type,
+    /// but 3 attempts by default where the store makes 1.
+    util::RetryPolicy retry{.maxAttempts = 3};
     /// connectWithRetry(): total connection attempts before giving up —
     /// rides out a supervised server restart (crash → respawn) without the
     /// driver seeing more than latency.  1 = plain connect().
@@ -158,7 +156,6 @@ class Client {
   Frame readFrame(std::chrono::steady_clock::time_point deadline);
   /// Dispatches a pushed frame; false when the frame is not a push.
   bool handlePush(const Frame& frame);
-  void backoffBeforeRetry(unsigned attempt);
   [[noreturn]] void failConnection(const std::string& why);
 
   Options options_;

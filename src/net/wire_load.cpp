@@ -177,18 +177,17 @@ void driveSession(const WireLoadOptions& options, std::size_t index,
       totals.completed.fetch_add(1, std::memory_order_relaxed);
     }
 
-    if (options.verifyDigests) {
-      service::SessionSnapshot snap;
-      try {
-        snap = client.snapshot(id, false);
-      } catch (const ConnectionError&) {
-        snap = reconnect();
-      }
-      const std::string localDigest =
-          util::fnv1a64Hex(service::snapshotText(*shadow.dpm));
-      if (snap.digest != localDigest || snap.stage != shadow.dpm->stage()) {
-        totals.digestMismatches.fetch_add(1, std::memory_order_relaxed);
-      }
+    // Compare the shadow digest against the server's final snapshot.
+    service::SessionSnapshot snap;
+    try {
+      snap = client.snapshot(id, false);
+    } catch (const ConnectionError&) {
+      snap = reconnect();
+    }
+    const std::string localDigest =
+        util::fnv1a64Hex(service::snapshotText(*shadow.dpm));
+    if (snap.digest != localDigest || snap.stage != shadow.dpm->stage()) {
+      totals.digestMismatches.fetch_add(1, std::memory_order_relaxed);
     }
     if (options.subscribe) {
       try {

@@ -13,7 +13,7 @@
 // check).
 //
 // Failure handling exercises the full resilience surface: Transient errors
-// are retried inside the Client (CommandPolicy mirrored client-side); a
+// are retried inside the Client (the store's RetryPolicy, client-side); a
 // ConnectionError triggers reconnect-and-resync — the server's snapshot
 // stage tells the driver whether the in-flight operation committed
 // (stage == local+1 → catch the shadow up) or not (stage == local → resend)
@@ -51,8 +51,6 @@ struct WireLoadOptions {
   std::string dddl;
   std::string scenario;
   Client::Options client{};
-  /// Compare the shadow digest against the server's final snapshot digest.
-  bool verifyDigests = true;
   /// Reconnect-and-resync attempts per session before giving up.
   unsigned maxReconnects = 3;
 };

@@ -8,14 +8,7 @@ namespace adpm::service {
 
 std::shared_ptr<NotificationBus::Queue> NotificationBus::subscribe(
     const std::string& sessionId, const std::string& designer, Wake wake) {
-  return subscribe(sessionId, designer, options_.queueCapacity,
-                   options_.overflow, std::move(wake));
-}
-
-std::shared_ptr<NotificationBus::Queue> NotificationBus::subscribe(
-    const std::string& sessionId, const std::string& designer,
-    std::size_t capacity, util::OverflowPolicy overflow, Wake wake) {
-  auto queue = std::make_shared<Queue>(capacity, overflow);
+  auto queue = std::make_shared<Queue>(kQueueCapacity);
   util::LockGuard lock(mutex_);
   bySession_[sessionId].push_back(Subscription{
       designer, queue, std::make_shared<SubscriberState>(), std::move(wake)});
@@ -35,9 +28,9 @@ void NotificationBus::publish(const std::string& sessionId,
     return;
   }
 
-  // Snapshot the subscriptions, then push outside the bus lock: a Block
-  // queue may park this producer until its consumer catches up, and that
-  // must not hold up subscribe()/closeSession() on other sessions.
+  // Snapshot the subscriptions, then push and wake outside the bus lock:
+  // a wake takes its consumer's locks, and one session's publish must not
+  // hold up subscribe()/closeSession() on other sessions.
   std::vector<Subscription> targets;
   {
     util::LockGuard lock(mutex_);
@@ -45,12 +38,6 @@ void NotificationBus::publish(const std::string& sessionId,
     const auto it = bySession_.find(sessionId);
     if (it != bySession_.end()) targets = it->second;
   }
-
-  // Degrade thresholds: the resync marker must always fit, so the
-  // high-water mark stays below the queue capacity.
-  const std::size_t hwm = options_.degradeHighWater;
-  const std::size_t lwm =
-      options_.resumeLowWater > 0 ? options_.resumeLowWater : hwm / 2;
 
   std::size_t delivered = 0;
   std::size_t unrouted = 0;
@@ -63,44 +50,38 @@ void NotificationBus::publish(const std::string& sessionId,
     for (std::size_t i = 0; i < targets.size(); ++i) {
       const Subscription& sub = targets[i];
       if (sub.designer != n.designer) continue;
-      if (hwm > 0) {
-        const std::size_t highWater =
-            hwm >= sub.queue->capacity() ? sub.queue->capacity() - 1 : hwm;
-        if (sub.state->degraded.load(std::memory_order_relaxed)) {
-          if (sub.queue->size() <= lwm) {
-            // Consumer caught up: resume per-event delivery.
-            sub.state->degraded.store(false, std::memory_order_relaxed);
-          } else {
-            // Still saturated: this event is covered by the pending
-            // ResyncRequired marker already in the queue.
-            routed = true;
-            ++coalesced;
-            sub.state->coalesced.fetch_add(1, std::memory_order_relaxed);
-            continue;
-          }
-        } else if (sub.queue->size() >= highWater) {
-          // Saturation: downgrade to coalesced delivery.  One resync
-          // marker replaces the stream until the consumer drains; the
-          // producing strand neither parks (Block) nor sheds silently
-          // (DropOldest).
-          sub.state->degraded.store(true, std::memory_order_relaxed);
-          ++downgrades;
-          sub.state->downgrades.fetch_add(1, std::memory_order_relaxed);
-          dpm::Notification resync;
-          resync.kind = dpm::NotificationKind::ResyncRequired;
-          resync.designer = n.designer;
-          resync.stage = n.stage;
-          resync.text =
-              "subscriber queue saturated; refetch a session snapshot";
-          if (sub.queue->push(std::move(resync))) {
-            ++delivered;
-            enqueued[i] = true;
-          }
+      if (sub.state->degraded.load(std::memory_order_relaxed)) {
+        if (sub.queue->size() <= kLowWater) {
+          // Consumer caught up: resume per-event delivery.
+          sub.state->degraded.store(false, std::memory_order_relaxed);
+        } else {
+          // Still saturated: this event is covered by the pending
+          // ResyncRequired marker already in the queue.
           routed = true;
           ++coalesced;
           sub.state->coalesced.fetch_add(1, std::memory_order_relaxed);
           continue;
         }
+      } else if (sub.queue->size() >= kHighWater) {
+        // Saturation: downgrade to coalesced delivery.  One resync marker
+        // replaces the stream until the consumer drains; the producing
+        // strand neither waits nor sheds silently.
+        sub.state->degraded.store(true, std::memory_order_relaxed);
+        ++downgrades;
+        sub.state->downgrades.fetch_add(1, std::memory_order_relaxed);
+        dpm::Notification resync;
+        resync.kind = dpm::NotificationKind::ResyncRequired;
+        resync.designer = n.designer;
+        resync.stage = n.stage;
+        resync.text = "subscriber queue saturated; refetch a session snapshot";
+        if (sub.queue->push(std::move(resync))) {
+          ++delivered;
+          enqueued[i] = true;
+        }
+        routed = true;
+        ++coalesced;
+        sub.state->coalesced.fetch_add(1, std::memory_order_relaxed);
+        continue;
       }
       if (ADPM_FAULT_POINT("bus.enqueue") != util::FaultAction::None) {
         ++injected;  // this subscriber misses this event; counted

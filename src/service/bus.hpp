@@ -4,21 +4,20 @@
 // notifications each designer should receive (paper §2.2).  In the
 // sequential TeamSim loop that fan-out is consumed synchronously; the
 // service makes it truly asynchronous: each (session, designer) subscriber
-// owns a bounded MPSC queue, session strands publish into it, and consumers
-// drain at their own pace.  Overflow behaviour is the subscriber's choice
-// (Block = backpressure the session, DropOldest = prefer fresh events) and
-// every drop is counted — losing guidance silently is exactly the failure
-// mode the paper's NM exists to prevent.
+// owns a bounded MPSC queue of kQueueCapacity items, session strands
+// publish into it, and consumers drain at their own pace.
 //
-// Degraded mode: overload should not get to choose between blocking the
-// producing strand (Block) and silently shedding events (DropOldest).  With
-// `degradeHighWater` set, a subscriber whose queue depth reaches the
-// high-water mark is switched to *coalesced* delivery: one ResyncRequired
-// notification is enqueued and subsequent events are counted (coalesced())
-// instead of pushed, so the strand never parks and the consumer learns its
-// stream is incomplete.  When the consumer drains the queue back to the
-// low-water mark, per-event delivery resumes — the downgrade/resume cycle is
-// counted, never silent.
+// Overload has one behaviour, degraded delivery.  A subscriber whose queue
+// depth reaches kHighWater is switched to *coalesced* delivery: one
+// ResyncRequired notification is enqueued and subsequent events are counted
+// (coalesced()) instead of pushed, so the producing strand never waits and
+// the consumer learns its stream is incomplete — losing guidance silently is
+// exactly the failure mode the paper's NM exists to prevent.  When the
+// consumer drains the queue back to kLowWater, per-event delivery resumes;
+// the downgrade/resume cycle is counted, never silent.  Since each queue's
+// publishes come from its session's strand alone and the consumer only
+// shrinks the queue, the marker always fits and the queue never evicts
+// (dropped() stays 0).
 #pragma once
 
 #include <atomic>
@@ -39,20 +38,14 @@ class NotificationBus {
  public:
   using Queue = util::BoundedMpscQueue<dpm::Notification>;
 
-  struct Options {
-    std::size_t queueCapacity = 256;
-    util::OverflowPolicy overflow = util::OverflowPolicy::DropOldest;
-    /// Queue depth at which a subscriber is downgraded to coalesced
-    /// ResyncRequired delivery (0 = degraded mode off).  Clamped to below
-    /// the queue capacity so the resync marker itself always fits.
-    std::size_t degradeHighWater = 0;
-    /// Queue depth at or below which a degraded subscriber resumes
-    /// per-event delivery (0 = degradeHighWater / 2).
-    std::size_t resumeLowWater = 0;
-  };
-
-  NotificationBus() : NotificationBus(Options{}) {}
-  explicit NotificationBus(Options options) : options_(options) {}
+  /// Every subscriber queue's capacity.
+  static constexpr std::size_t kQueueCapacity = 256;
+  /// Queue depth at which a subscriber is downgraded to coalesced
+  /// ResyncRequired delivery; one below capacity so the marker always fits.
+  static constexpr std::size_t kHighWater = kQueueCapacity - 1;
+  /// Queue depth at or below which a degraded subscriber resumes per-event
+  /// delivery.
+  static constexpr std::size_t kLowWater = kHighWater / 2;
 
   /// Called by publish(), outside the bus lock, once the whole batch is
   /// routed, for each subscriber it enqueued at least one item for — lets a
@@ -62,15 +55,8 @@ class NotificationBus {
   /// Subscribes to one designer's notifications within one session.  The
   /// returned queue lives as long as the caller holds it; multiple
   /// subscribers per (session, designer) each get every notification.
-  /// Per-subscription capacity/policy overrides fall back to the bus
-  /// defaults when not given.
   std::shared_ptr<Queue> subscribe(const std::string& sessionId,
                                    const std::string& designer,
-                                   Wake wake = {});
-  std::shared_ptr<Queue> subscribe(const std::string& sessionId,
-                                   const std::string& designer,
-                                   std::size_t capacity,
-                                   util::OverflowPolicy overflow,
                                    Wake wake = {});
 
   /// Publishes one operation's fan-out, routing each notification to the
@@ -80,8 +66,7 @@ class NotificationBus {
   void publish(const std::string& sessionId,
                const std::vector<dpm::Notification>& batch);
 
-  /// Closes every queue of a session (wakes blocked producers/consumers)
-  /// and forgets its subscriptions.
+  /// Closes every queue of a session and forgets its subscriptions.
   void closeSession(const std::string& sessionId);
   /// Closes everything.
   void closeAll();
@@ -90,7 +75,8 @@ class NotificationBus {
   std::size_t published() const;  ///< notifications entering the bus
   std::size_t delivered() const;  ///< accepted into some subscriber queue
   std::size_t unrouted() const;   ///< no subscriber for (session, designer)
-  /// Total DropOldest evictions across all queues ever subscribed.
+  /// Total capacity evictions across all queues ever subscribed; 0 unless
+  /// the degraded-delivery invariant broke.
   std::size_t dropped() const;
   /// Subscriber downgrades into coalesced (degraded) delivery.
   std::size_t downgrades() const;
@@ -109,7 +95,7 @@ class NotificationBus {
     std::string designer;
     std::size_t queueDepth = 0;
     std::size_t queueCapacity = 0;
-    std::size_t dropped = 0;     ///< DropOldest evictions on this queue
+    std::size_t dropped = 0;     ///< capacity evictions on this queue
     bool degraded = false;       ///< currently in coalesced delivery
     std::size_t downgrades = 0;  ///< times this subscriber was downgraded
     std::size_t coalesced = 0;   ///< events absorbed into its resync markers
@@ -139,7 +125,6 @@ class NotificationBus {
     Wake wake;
   };
 
-  Options options_;
   mutable util::Mutex mutex_;
   std::map<std::string, std::vector<Subscription>> bySession_
       ADPM_GUARDED_BY(mutex_);

@@ -25,7 +25,9 @@ struct LoadOptions {
   teamsim::SimulationOptions sim{};
   /// Runaway guard per session.
   std::size_t maxOperationsPerSession = 20000;
-  /// Attach a notification subscriber per (session, designer) seat.
+  /// Attach a notification subscriber per (session, designer) seat.  The
+  /// seats are never drained, so a long session degrades each of them to
+  /// one ResyncRequired marker (NotificationBus::kHighWater).
   bool subscribe = true;
   /// Session id prefix ("<prefix><i>").
   std::string idPrefix = "load-";

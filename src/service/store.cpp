@@ -27,8 +27,7 @@ SessionStore::SessionStore() : SessionStore(Options{}) {}
 
 SessionStore::SessionStore(Options options)
     : options_(std::move(options)),
-      retryRng_(options_.command.jitterSeed),
-      bus_(options_.bus),
+      retryRng_(options_.command.retry.jitterSeed),
       executor_(options_.executor) {
   if (!options_.walDir.empty()) {
     std::filesystem::create_directories(options_.walDir);
@@ -36,8 +35,9 @@ SessionStore::SessionStore(Options options)
 }
 
 SessionStore::~SessionStore() {
-  // Unblock any producer parked on a Block-policy queue before draining,
-  // or drain() could wait forever on a strand task stuck in push().
+  // Close every subscriber queue first: strand tasks still draining below
+  // publish into closed queues, which refuse the push instead of growing a
+  // queue no consumer will read.
   bus_.closeAll();
   executor_.drain();
 }
@@ -193,20 +193,12 @@ std::vector<RecoveryEvent> SessionStore::recoverReport() const {
 }
 
 void SessionStore::backoffBeforeRetry(unsigned attempt) {
-  const CommandPolicy& policy = options_.command;
-  double micros = static_cast<double>(policy.backoffBase.count());
-  for (unsigned i = 1; i < attempt; ++i) micros *= 2.0;
-  micros = std::min(micros, static_cast<double>(policy.backoffCap.count()));
-  double factor = 1.0;
+  std::chrono::microseconds delay;
   {
     util::LockGuard lock(retryMutex_);
     ++retries_;
-    if (policy.jitter > 0.0) {
-      factor = retryRng_.uniform(1.0 - policy.jitter, 1.0 + policy.jitter);
-    }
+    delay = options_.command.retry.backoff(attempt, retryRng_);
   }
-  const auto delay =
-      std::chrono::microseconds(static_cast<std::int64_t>(micros * factor));
   if (delay.count() > 0) std::this_thread::sleep_for(delay);
 }
 
@@ -320,9 +312,9 @@ std::shared_ptr<NotificationBus::Queue> SessionStore::subscribe(
   // Hold the store lock across the existence check *and* the bus
   // registration: a concurrent close(id) then either runs after us (and
   // closes the new queue with the rest) or before us (and we throw) — never
-  // a live queue left on a dead session, which would hang its consumer's
-  // blocking pop() forever.  Lock order store→bus is consistent everywhere;
-  // the bus never calls back into the store.
+  // a live queue left on a dead session, which nothing would ever close.
+  // Lock order store→bus is consistent everywhere; the bus never calls back
+  // into the store.
   util::LockGuard lock(mutex_);
   if (!sessions_.contains(id)) {
     throw adpm::InvalidArgumentError("unknown session '" + id + "'");

@@ -37,6 +37,7 @@
 #include "service/session.hpp"
 #include "util/error.hpp"
 #include "util/executor.hpp"
+#include "util/retry.hpp"
 #include "util/rng.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -52,17 +53,9 @@ struct CommandPolicy {
   /// control (an overloaded session sheds stale work), not preemption — a
   /// running command is never interrupted.  0 = no deadline.
   std::chrono::milliseconds timeout{0};
-  /// Total attempts for a command failing with TransientError (WAL append
-  /// rolled back, injected fault, ...); 1 = no retry.  Non-transient errors
-  /// never retry.
-  unsigned maxAttempts = 1;
-  /// Backoff before retry k (1-based) is base·2^(k-1) capped at `backoffCap`,
-  /// stretched by a jitter factor in [1-jitter, 1+jitter].
-  std::chrono::microseconds backoffBase{200};
-  std::chrono::microseconds backoffCap{50000};
-  double jitter = 0.5;
-  /// Jitter stream seed — retries are reproducible like everything else.
-  std::uint64_t jitterSeed = 0x5eed;
+  /// Retries for a command failing with TransientError (WAL append rolled
+  /// back, injected fault, ...).
+  util::RetryPolicy retry{};
 };
 
 /// One recover() decision about one log file.
@@ -91,7 +84,6 @@ class SessionStore {
  public:
   struct Options {
     util::Executor::Options executor{};
-    NotificationBus::Options bus{};
     Session::Options session{};
     CommandPolicy command{};
     /// Directory for per-session operation logs ("<id>.wal"); empty =
@@ -229,7 +221,7 @@ class SessionStore {
             try {
               return fn(*entry->session);
             } catch (const adpm::TransientError&) {
-              if (attempt >= policy.maxAttempts) throw;
+              if (attempt >= policy.retry.maxAttempts) throw;
               backoffBeforeRetry(attempt);
             }
           }

@@ -1,19 +1,19 @@
-// Bounded multi-producer single-consumer queue with an explicit overflow
-// policy.
+// Bounded, non-blocking multi-producer single-consumer queue.
 //
 // The notification bus delivers NotificationManager fan-out to per-designer
 // subscribers through these queues.  Producers are the session strands (any
-// pool thread), the consumer is whoever holds the subscription.  Capacity is
-// bounded; what happens on overflow is a policy the subscriber chooses:
+// pool thread); the consumer is whoever holds the subscription and polls it
+// with tryPop() — the reactor, a load driver, a test.  Nothing ever waits
+// on the queue: push and tryPop return immediately.
 //
-//  * Block      — the producer waits for space (backpressure: a session's
-//                 strand stalls until the subscriber catches up);
-//  * DropOldest — the oldest queued item is discarded to make room and the
-//                 drop is counted (a live dashboard prefers fresh events
-//                 over complete history).
+// The queue is bounded.  A push at capacity evicts the oldest item and
+// counts it in dropped(), but that is a guard, not a delivery policy: the
+// bus degrades a subscriber to a coalesced ResyncRequired marker before its
+// queue can fill (service/bus.hpp), so dropped() stays 0 in normal
+// operation and a non-zero value means the bus invariant broke.
 //
-// A mutex + condvar implementation: notification batches are tiny compared
-// to the DCM work producing them, so contention is negligible, and the lock
+// A plain mutex implementation: notification batches are tiny compared to
+// the DCM work producing them, so contention is negligible, and the lock
 // gives TSan-clean happens-before edges for free.  The annotated primitives
 // (util/thread_annotations.hpp) make the "everything mutable is under the
 // lock" rule compiler-checked under Clang.
@@ -28,76 +28,42 @@
 
 namespace adpm::util {
 
-enum class OverflowPolicy : std::uint8_t { Block, DropOldest };
-
 template <typename T>
 class BoundedMpscQueue {
  public:
-  explicit BoundedMpscQueue(std::size_t capacity,
-                            OverflowPolicy policy = OverflowPolicy::DropOldest)
-      : capacity_(capacity == 0 ? 1 : capacity), policy_(policy) {}
+  explicit BoundedMpscQueue(std::size_t capacity)
+      : capacity_(capacity == 0 ? 1 : capacity) {}
 
   BoundedMpscQueue(const BoundedMpscQueue&) = delete;
   BoundedMpscQueue& operator=(const BoundedMpscQueue&) = delete;
 
   /// Enqueues one item.  Returns false only when the queue is closed (the
-  /// item is discarded, not counted as dropped).  Under Block this waits for
-  /// space; under DropOldest it evicts the front item and counts the drop.
+  /// item is discarded, not counted as dropped).  At capacity the front
+  /// item is evicted and counted in dropped().
   bool push(T item) {
-    {
-      UniqueLock lock(mutex_);
-      if (policy_ == OverflowPolicy::Block) {
-        while (!closed_ && items_.size() >= capacity_) space_.wait(lock);
-        if (closed_) return false;
-      } else {
-        if (closed_) return false;
-        if (items_.size() >= capacity_) {
-          items_.pop_front();
-          ++dropped_;
-        }
-      }
-      items_.push_back(std::move(item));
+    LockGuard lock(mutex_);
+    if (closed_) return false;
+    if (items_.size() >= capacity_) {
+      items_.pop_front();
+      ++dropped_;
     }
-    ready_.notify_one();
+    items_.push_back(std::move(item));
     return true;
   }
 
-  /// Blocks until an item is available or the queue is closed and empty.
-  std::optional<T> pop() {
-    std::optional<T> item;
-    {
-      UniqueLock lock(mutex_);
-      while (!closed_ && items_.empty()) ready_.wait(lock);
-      if (items_.empty()) return std::nullopt;
-      item = std::move(items_.front());
-      items_.pop_front();
-    }
-    space_.notify_one();
-    return item;
-  }
-
-  /// Non-blocking pop.
+  /// The front item, or nullopt when the queue is empty.
   std::optional<T> tryPop() {
-    std::optional<T> item;
-    {
-      LockGuard lock(mutex_);
-      if (items_.empty()) return std::nullopt;
-      item = std::move(items_.front());
-      items_.pop_front();
-    }
-    space_.notify_one();
+    LockGuard lock(mutex_);
+    if (items_.empty()) return std::nullopt;
+    std::optional<T> item = std::move(items_.front());
+    items_.pop_front();
     return item;
   }
 
-  /// Closing wakes blocked producers and the consumer; queued items remain
-  /// poppable, further pushes are refused.
+  /// Refuses further pushes; queued items remain poppable.
   void close() {
-    {
-      LockGuard lock(mutex_);
-      closed_ = true;
-    }
-    ready_.notify_all();
-    space_.notify_all();
+    LockGuard lock(mutex_);
+    closed_ = true;
   }
 
   bool closed() const {
@@ -110,21 +76,17 @@ class BoundedMpscQueue {
     return items_.size();
   }
 
-  /// Items evicted by DropOldest since construction.
+  /// Items evicted by a push at capacity since construction.
   std::size_t dropped() const {
     LockGuard lock(mutex_);
     return dropped_;
   }
 
   std::size_t capacity() const noexcept { return capacity_; }
-  OverflowPolicy policy() const noexcept { return policy_; }
 
  private:
   const std::size_t capacity_;
-  const OverflowPolicy policy_;
   mutable Mutex mutex_;
-  CondVar ready_;  // consumer waits: item available / closed
-  CondVar space_;  // producers wait (Block): room available
   std::deque<T> items_ ADPM_GUARDED_BY(mutex_);
   std::size_t dropped_ ADPM_GUARDED_BY(mutex_) = 0;
   bool closed_ ADPM_GUARDED_BY(mutex_) = false;

@@ -218,7 +218,7 @@ TEST_F(LoopbackTest, GracefulShutdownAnnouncesAndRefusesMutations) {
   const std::uint16_t port = server.start();
 
   Client::Options copts = clientOptions(port);
-  copts.maxAttempts = 1;  // surface the drain refusal instead of retrying
+  copts.retry.maxAttempts = 1;  // surface the drain refusal instead of retrying
   Client client{copts};
   client.connect();
   client.openDddl("drain-0", sensingDddl(), /*adpm=*/true);
@@ -495,10 +495,9 @@ TEST_F(LoopbackTest, SlowWireConsumerDegradesInsteadOfParkingAStrand) {
   // connection's write buffer past the reactor's high-water mark; from then
   // on its bus queue is not drained, so the bus downgrades it to one
   // coalesced ResyncRequired marker.  The publishing strand never waits on
-  // the slow reader.
+  // the slow reader.  The bus runs with its shipped thresholds: degraded
+  // delivery is not an opt-in.
   service::SessionStore::Options so = storeOptions();
-  so.bus.queueCapacity = 64;
-  so.bus.degradeHighWater = 16;
   so.command.timeout = 5s;
   service::SessionStore store{so};
   Server::Options opts;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -83,11 +84,15 @@ TEST(NotificationBus, WakeFiresOncePerPublishForEachFedSubscriber) {
 }
 
 TEST(NotificationBus, DropOldestOverflowIsCounted) {
+  // The bus itself never fills a queue, but the queue's capacity guard still
+  // evicts the oldest item on overflow; the bus reports every such eviction.
+  // Here a second producer pushes into the subscriber queue directly.
+  constexpr std::size_t kCap = NotificationBus::kQueueCapacity;
   NotificationBus bus;
-  auto q = bus.subscribe("s1", "ana", 2, util::OverflowPolicy::DropOldest);
-  for (std::size_t i = 0; i < 5; ++i) bus.publish("s1", {note("ana", i)});
+  auto q = bus.subscribe("s1", "ana");
+  for (std::size_t i = 0; i < kCap + 3; ++i) q->push(note("ana", i));
   EXPECT_EQ(bus.dropped(), 3u);
-  EXPECT_EQ(q->size(), 2u);
+  EXPECT_EQ(q->size(), kCap);
   EXPECT_EQ(q->tryPop()->stage, 3u);  // oldest survivors
   EXPECT_EQ(q->tryPop()->stage, 4u);
 
@@ -96,35 +101,29 @@ TEST(NotificationBus, DropOldestOverflowIsCounted) {
   EXPECT_EQ(bus.dropped(), 3u);
 }
 
-TEST(NotificationBus, BlockPolicyBackpressuresPublisher) {
-  NotificationBus bus;
-  auto q = bus.subscribe("s1", "ana", 1, util::OverflowPolicy::Block);
-  bus.publish("s1", {note("ana", 1)});
-
-  std::thread producer(
-      [&bus] { bus.publish("s1", {note("ana", 2)}); });  // waits for space
-  EXPECT_EQ(q->pop()->stage, 1u);
-  producer.join();
-  EXPECT_EQ(q->pop()->stage, 2u);
-  EXPECT_EQ(bus.dropped(), 0u);
-}
-
 TEST(NotificationBus, CloseSessionUnblocksPublisherAndClosesQueues) {
   NotificationBus bus;
-  auto q = bus.subscribe("s1", "ana", 1, util::OverflowPolicy::Block);
+  auto q = bus.subscribe("s1", "ana");
   bus.publish("s1", {note("ana", 1)});
 
+  // A publisher racing closeSession never waits on the queue: its pushes
+  // either land before the close or are refused after it, neither delivered
+  // twice nor counted as dropped.
   std::thread producer([&bus] {
-    // Parked on the full Block queue until closeSession wakes it; the
-    // refused push is neither delivered nor dropped.
-    bus.publish("s1", {note("ana", 2)});
+    for (std::size_t i = 2; i <= 2 * NotificationBus::kQueueCapacity; ++i) {
+      bus.publish("s1", {note("ana", i)});
+    }
   });
   bus.closeSession("s1");
   producer.join();
   EXPECT_TRUE(q->closed());
-  // The pre-close item stays poppable.
-  EXPECT_EQ(q->pop()->stage, 1u);
-  EXPECT_EQ(q->pop(), std::nullopt);
+  EXPECT_EQ(bus.dropped(), 0u);
+  // The pre-close item stays poppable, first.
+  EXPECT_EQ(q->tryPop()->stage, 1u);
+  while (q->tryPop()) {
+  }
+  bus.publish("s1", {note("ana", 0)});  // session forgotten: unrouted
+  EXPECT_EQ(q->tryPop(), std::nullopt);
 }
 
 TEST(NotificationBus, CloseAllClosesEverySession) {
@@ -144,109 +143,138 @@ TEST(NotificationBus, EmptyBatchIsFree) {
 }
 
 TEST(NotificationBus, DegradesToResyncMarkerAtHighWater) {
-  NotificationBus::Options options;
-  options.queueCapacity = 8;
-  options.degradeHighWater = 3;
-  NotificationBus bus(options);
+  constexpr std::size_t kHigh = NotificationBus::kHighWater;
+  NotificationBus bus;
   auto q = bus.subscribe("s1", "ana");
 
-  // Fill to just below the high-water mark: normal delivery.
-  for (std::size_t i = 1; i <= 3; ++i) bus.publish("s1", {note("ana", i)});
+  // Fill to the high-water mark: normal delivery.
+  for (std::size_t i = 1; i <= kHigh; ++i) bus.publish("s1", {note("ana", i)});
   EXPECT_EQ(bus.downgrades(), 0u);
-  EXPECT_EQ(q->size(), 3u);
+  EXPECT_EQ(q->size(), kHigh);
 
   // Depth has reached the mark: the next publish downgrades the subscriber —
   // one ResyncRequired marker is enqueued instead of the event.
-  bus.publish("s1", {note("ana", 4)});
+  bus.publish("s1", {note("ana", kHigh + 1)});
   EXPECT_EQ(bus.downgrades(), 1u);
   EXPECT_EQ(bus.coalesced(), 1u);
-  EXPECT_EQ(q->size(), 4u);
+  EXPECT_EQ(q->size(), NotificationBus::kQueueCapacity);
 
   // While degraded, further events coalesce into the pending marker.
-  bus.publish("s1", {note("ana", 5), note("ana", 6)});
+  bus.publish("s1", {note("ana", kHigh + 2), note("ana", kHigh + 3)});
   EXPECT_EQ(bus.downgrades(), 1u);
   EXPECT_EQ(bus.coalesced(), 3u);
-  EXPECT_EQ(q->size(), 4u);
+  EXPECT_EQ(q->size(), NotificationBus::kQueueCapacity);
   EXPECT_EQ(bus.dropped(), 0u);  // degraded != silent shedding
 
   // The consumer sees the per-event prefix, then the marker.
-  EXPECT_EQ(q->pop()->stage, 1u);
-  EXPECT_EQ(q->pop()->stage, 2u);
-  EXPECT_EQ(q->pop()->stage, 3u);
-  const auto marker = q->pop();
+  for (std::size_t i = 1; i <= kHigh; ++i) EXPECT_EQ(q->tryPop()->stage, i);
+  const auto marker = q->tryPop();
   ASSERT_TRUE(marker.has_value());
   EXPECT_EQ(marker->kind, dpm::NotificationKind::ResyncRequired);
-  EXPECT_EQ(marker->stage, 4u);
+  EXPECT_EQ(marker->stage, kHigh + 1);
+  EXPECT_EQ(q->tryPop(), std::nullopt);
 }
 
 TEST(NotificationBus, ResumesPerEventDeliveryAtLowWater) {
-  NotificationBus::Options options;
-  options.queueCapacity = 8;
-  options.degradeHighWater = 2;
-  options.resumeLowWater = 0;  // defaults to hwm/2 == 1
-  NotificationBus bus(options);
+  constexpr std::size_t kHigh = NotificationBus::kHighWater;
+  constexpr std::size_t kLow = NotificationBus::kLowWater;
+  NotificationBus bus;
   auto q = bus.subscribe("s1", "ana");
 
-  bus.publish("s1", {note("ana", 1), note("ana", 2)});
-  bus.publish("s1", {note("ana", 3)});  // queue at hwm: downgrade + marker
+  for (std::size_t i = 1; i <= kHigh + 1; ++i) {
+    bus.publish("s1", {note("ana", i)});  // the last one downgrades
+  }
   EXPECT_EQ(bus.downgrades(), 1u);
-  EXPECT_EQ(q->size(), 3u);
+  EXPECT_EQ(q->size(), NotificationBus::kQueueCapacity);
 
-  // Drain past the low-water mark, then publish again: delivery resumes.
-  EXPECT_EQ(q->pop()->stage, 1u);
-  EXPECT_EQ(q->pop()->stage, 2u);
-  EXPECT_EQ(q->pop()->kind, dpm::NotificationKind::ResyncRequired);
-  bus.publish("s1", {note("ana", 4)});
+  // Drained to one above the low-water mark: still coalescing.
+  while (q->size() > kLow + 1) q->tryPop();
+  bus.publish("s1", {note("ana", kHigh + 2)});
+  EXPECT_EQ(bus.coalesced(), 2u);
+  EXPECT_EQ(q->size(), kLow + 1);
+
+  // At the low-water mark, the next publish resumes per-event delivery.
+  q->tryPop();
+  bus.publish("s1", {note("ana", kHigh + 3)});
   EXPECT_EQ(bus.downgrades(), 1u);  // no second downgrade
-  const auto resumed = q->tryPop();
+  EXPECT_EQ(bus.coalesced(), 2u);
+  EXPECT_EQ(q->size(), kLow + 1);
+  std::optional<dpm::Notification> resumed;
+  while (auto n = q->tryPop()) resumed = std::move(n);
   ASSERT_TRUE(resumed.has_value());
   EXPECT_EQ(resumed->kind, dpm::NotificationKind::ViolationDetected);
-  EXPECT_EQ(resumed->stage, 4u);
+  EXPECT_EQ(resumed->stage, kHigh + 3);
 }
 
 TEST(NotificationBus, DegradedModeNeverBlocksThePublisher) {
-  // The whole point of degraded mode: a saturated Block queue would park the
-  // producing strand; with a high-water mark it must not.
-  NotificationBus::Options options;
-  options.queueCapacity = 4;
-  options.overflow = util::OverflowPolicy::Block;
-  options.degradeHighWater = 3;
-  NotificationBus bus(options);
+  // One batch larger than the queue: degradation is decided per event, so
+  // the marker lands mid-batch and the rest of the batch coalesces — the
+  // publisher returns with nothing evicted.
+  constexpr std::size_t kBatch = 2 * NotificationBus::kQueueCapacity + 1;
+  NotificationBus bus;
   auto q = bus.subscribe("s1", "ana");
 
-  // 10 publishes into a capacity-4 Block queue with nobody consuming: if any
-  // push blocked, this loop would hang the test.
-  for (std::size_t i = 1; i <= 10; ++i) bus.publish("s1", {note("ana", i)});
+  std::vector<dpm::Notification> batch;
+  for (std::size_t i = 1; i <= kBatch; ++i) batch.push_back(note("ana", i));
+  bus.publish("s1", batch);
   EXPECT_EQ(bus.downgrades(), 1u);
-  EXPECT_GE(bus.coalesced(), 6u);
-  EXPECT_LE(q->size(), 4u);
+  EXPECT_EQ(bus.coalesced(), kBatch - NotificationBus::kHighWater);
+  EXPECT_EQ(bus.delivered(), NotificationBus::kQueueCapacity);
+  EXPECT_EQ(q->size(), NotificationBus::kQueueCapacity);
+  EXPECT_EQ(bus.dropped(), 0u);
+}
+
+TEST(NotificationBus, UndrainedSubscriberDegradesOnceAndNeverEvicts) {
+  // A subscriber nobody drains: the bus downgrades it once, before its queue
+  // is full, so the capacity guard never evicts and the stream ends in a
+  // ResyncRequired marker instead of silently losing its head.
+  constexpr std::size_t kEvents = 10 * NotificationBus::kQueueCapacity;
+  NotificationBus bus;
+  auto q = bus.subscribe("s1", "ana");
+  for (std::size_t i = 1; i <= kEvents; ++i) {
+    bus.publish("s1", {note("ana", i)});
+  }
+  EXPECT_LE(q->size(), q->capacity());
+  EXPECT_EQ(q->capacity(), NotificationBus::kQueueCapacity);
+  EXPECT_EQ(q->dropped(), 0u);
+  EXPECT_EQ(bus.dropped(), 0u);
+  EXPECT_EQ(bus.downgrades(), 1u);
+  EXPECT_EQ(bus.coalesced(), kEvents - NotificationBus::kHighWater);
+
+  std::optional<dpm::Notification> last;
+  while (auto n = q->tryPop()) last = std::move(n);
+  ASSERT_TRUE(last.has_value());
+  EXPECT_EQ(last->kind, dpm::NotificationKind::ResyncRequired);
+
+  // Closing the session retires the queue without losing the count.
+  bus.closeSession("s1");
+  EXPECT_EQ(bus.dropped(), 0u);
 }
 
 TEST(NotificationBus, HighWaterMarkIsClampedBelowCapacity) {
-  // hwm >= capacity would leave no room for the resync marker; the bus
-  // clamps it so the marker always fits.
-  NotificationBus::Options options;
-  options.queueCapacity = 2;
-  options.degradeHighWater = 99;
-  NotificationBus bus(options);
+  // A high-water mark at capacity would leave no room for the resync
+  // marker; it sits one below, so the marker always fits.
+  static_assert(NotificationBus::kHighWater < NotificationBus::kQueueCapacity);
+  NotificationBus bus;
   auto q = bus.subscribe("s1", "ana");
+  for (std::size_t i = 1; i <= NotificationBus::kHighWater; ++i) {
+    bus.publish("s1", {note("ana", i)});
+  }
+  EXPECT_EQ(bus.downgrades(), 0u);
 
-  bus.publish("s1", {note("ana", 1)});   // size 1 == capacity-1: downgrade
-  bus.publish("s1", {note("ana", 2)});   // coalesced
+  bus.publish("s1", {note("ana", 0)});  // depth == capacity-1: downgrade
+  bus.publish("s1", {note("ana", 0)});  // coalesced
   EXPECT_EQ(bus.downgrades(), 1u);
-  EXPECT_EQ(q->size(), 2u);  // event + marker, nothing dropped
+  EXPECT_EQ(q->size(), NotificationBus::kQueueCapacity);  // events + marker
   EXPECT_EQ(bus.dropped(), 0u);
 }
 
 TEST(NotificationBus, DegradationIsPerSubscriber) {
-  NotificationBus::Options options;
-  options.queueCapacity = 8;
-  options.degradeHighWater = 2;
-  NotificationBus bus(options);
+  NotificationBus bus;
   auto slow = bus.subscribe("s1", "ana");
   auto fast = bus.subscribe("s1", "ben");
 
-  for (std::size_t i = 1; i <= 5; ++i) {
+  for (std::size_t i = 1; i <= NotificationBus::kQueueCapacity + 5; ++i) {
     bus.publish("s1", {note("ana", i)});  // ana's queue fills, nobody drains
     bus.publish("s1", {note("ben", i)});
     while (fast->tryPop()) {  // ben consumes eagerly, stays healthy

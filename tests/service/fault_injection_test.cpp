@@ -136,8 +136,8 @@ TEST_F(FaultInjectionTest, SeededFaultPlanReproducesIdenticalErrorSequence) {
 TEST_F(FaultInjectionTest, CommandPolicyRetriesTransientFaultsToSuccess) {
   SessionStore::Options o;
   o.executor.deterministic = true;
-  o.command.maxAttempts = 3;
-  o.command.backoffBase = std::chrono::microseconds(10);  // fast test
+  o.command.retry.maxAttempts = 3;
+  o.command.retry.backoffBase = std::chrono::microseconds(10);  // fast test
   SessionStore store{std::move(o)};
   store.open("s", twoTeamScenario(), true);
 
