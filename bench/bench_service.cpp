@@ -3,7 +3,10 @@
 // Each iteration mounts a fleet of sessions (TeamSim designers as clients)
 // on a fresh store and drives every session to completion; the counters
 // report aggregate operations/sec and sessions/sec as seen by runLoad's
-// steady clock.  The worker-count argument sweeps the executor pool
+// steady clock.  Like BM_ServiceWire, every BM_ServiceFleet* number
+// includes the client side: each session's driver thread proposes against
+// and executes every operation on its own shadow manager, so δ runs twice
+// per operation.  The worker-count argument sweeps the executor pool
 // (1/2/4), so the scaling curve — ops/sec at 4 workers over ops/sec at 1 —
 // falls directly out of BENCH_service.json.  The deterministic arg (-1)
 // measures the zero-thread inline mode as the serial baseline.  Note that
@@ -20,8 +23,8 @@
 #include "gen/generator.hpp"
 #include "gen/presets.hpp"
 #include "gen/registry.hpp"
+#include "net/client.hpp"
 #include "net/server.hpp"
-#include "net/wire_load.hpp"
 #include "service/load.hpp"
 #include "service/store.hpp"
 
@@ -265,13 +268,14 @@ void BM_ServiceWire(benchmark::State& state) {
     net::Server server(store, net::Server::Options{});
     const std::uint16_t port = server.start();
 
-    net::WireLoadOptions load;
-    load.port = port;
+    net::Client::Options client;
+    client.port = port;
+    service::LoadOptions load;
     load.sessions = clients;
-    load.dddl = dddlText;
     load.sim.adpm = true;
     load.sim.seed = 1;
-    const net::WireLoadReport report = runWireLoad(load);
+    const service::LoadReport report =
+        service::runLoad(net::wireHost(client, dddlText), load);
     benchmark::DoNotOptimize(report.operations);
     operations += report.operations;
     wall += report.wallSeconds;

@@ -26,9 +26,10 @@
 #include <thread>
 #include <vector>
 
-#include "net/server.hpp"
-#include "net/wire_load.hpp"
+#include "dddl/writer.hpp"
 #include "gen/registry.hpp"
+#include "net/client.hpp"
+#include "net/server.hpp"
 #include "service/store.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
@@ -59,7 +60,8 @@ int usage() {
       "  --checkpoint-keep <n>     checkpoints retained by compaction "
       "(default 2)\n"
       "  --no-open                 refuse remote Open frames\n"
-      "  --command-timeout-ms <n>  queue-time deadline for remote commands\n"
+      "  --command-timeout-ms <n>  queue-time deadline for every session\n"
+      "                            command (the store's CommandPolicy)\n"
       "  --drain-timeout-ms <n>    graceful-shutdown drain budget "
       "(default 5000)\n"
       "  --fault-plan <spec>       arm failpoints, e.g. "
@@ -101,13 +103,15 @@ void printSessions(service::SessionStore& store) {
 
 int selfCheck(service::SessionStore& store, net::Server& server,
               std::uint16_t port, std::chrono::milliseconds drainBudget) {
-  net::WireLoadOptions load;
-  load.port = port;
+  net::Client::Options client;
+  client.port = port;
+  service::LoadOptions load;
   load.sessions = 4;
-  load.scenario = "sensing";
   load.idPrefix = "selfcheck-";
   load.sim.seed = 7;
-  const net::WireLoadReport report = runWireLoad(load);
+  const service::LoadReport report = service::runLoad(
+      net::wireHost(client, dddl::write(gen::scenarioByName("sensing"))),
+      load);
   const bool drained = server.shutdown(drainBudget);
   std::printf(
       "self-check: sessions=%zu completed=%zu operations=%zu "
@@ -206,6 +210,7 @@ int main(int argc, char** argv) {
     storeOptions.session.segmentBytes = segmentBytes;
     storeOptions.session.checkpointEvery = checkpointEvery;
     storeOptions.session.checkpointKeep = checkpointKeep;
+    storeOptions.command.timeout = std::chrono::milliseconds(commandTimeoutMs);
     if (salvage) storeOptions.recovery = service::RecoveryPolicy::Salvage;
     service::SessionStore store{std::move(storeOptions)};
 
@@ -248,7 +253,6 @@ int main(int argc, char** argv) {
     serverOptions.port = port;
     serverOptions.allowOpen = allowOpen;
     serverOptions.scenarioByName = resolveScenario;
-    serverOptions.commandTimeout = std::chrono::milliseconds(commandTimeoutMs);
     net::Server server(store, serverOptions);
     const std::uint16_t bound = server.start();
 
@@ -298,7 +302,7 @@ int main(int argc, char** argv) {
         "subscriptions=%zu protocolErrors=%zu timeouts=%zu\n",
         stats.accepted, stats.frames, stats.results, stats.errors,
         stats.pushes, stats.subscriptions, stats.protocolErrors,
-        stats.timeouts);
+        store.timeouts());
     printSessions(store);
     if (!walDir.empty()) {
       std::printf("operation logs in %s (restart with --recover to resume)\n",

@@ -6,11 +6,10 @@
 //   $ ./session_service_cli --scenario receiver --sessions 4 --wal-dir /tmp/wal
 //   $ ./session_service_cli --wal-dir /tmp/wal --recover      # after a crash
 //
-// With --connect the fleet moves to the far side of a TCP connection: the
-// same TeamSim designers drive sessions hosted by a session_server_cli
-// process, one connection per session, each keeping a local shadow manager
-// whose final digest must match the server's (the cross-process determinism
-// check).
+// Either way each session's designers keep a local shadow manager whose
+// final digest must match the host's (the determinism check).  With
+// --connect the host is a session_server_cli process on the far side of a
+// TCP connection, one connection per session.
 //
 //   $ ./session_service_cli --connect 127.0.0.1:7101 --sessions 4 --seed 3
 #include <cstdint>
@@ -22,7 +21,7 @@
 #include "dddl/writer.hpp"
 #include "gen/generator.hpp"
 #include "gen/registry.hpp"
-#include "net/wire_load.hpp"
+#include "net/client.hpp"
 #include "service/load.hpp"
 #include "service/store.hpp"
 #include "util/error.hpp"
@@ -46,7 +45,10 @@ int usage() {
       "  --gen-seed <n>                 generator seed override\n"
       "  --sessions <n>                 concurrent sessions (default 8)\n"
       "  --threads <n>                  worker threads (default 4)\n"
-      "  --deterministic                single-threaded inline execution\n"
+      "  --deterministic                single-threaded inline execution:\n"
+      "                                 one thread drives the sessions in\n"
+      "                                 turn (byte-stable WALs and failpoint\n"
+      "                                 order)\n"
       "  --adpm | --conventional        process flow (default ADPM)\n"
       "  --seed <n>                     base seed; session i uses seed+i\n"
       "  --max-ops <n>                  per-session operation cap\n"
@@ -62,18 +64,43 @@ int usage() {
       "  --connect <host:port>          drive the sessions over the wire\n"
       "                                 against a session_server_cli instead\n"
       "                                 of an in-process store (sends the\n"
-      "                                 scenario as DDDL; verifies shadow\n"
-      "                                 digests; exits 1 on divergence)\n"
-      "  --id-prefix <prefix>           session id prefix for --connect\n"
-      "                                 (default 'wire-'; must be unique per\n"
-      "                                 driver process)\n"
+      "                                 scenario as DDDL; exits 1 on any\n"
+      "                                 failed session)\n"
+      "  --id-prefix <prefix>           session id prefix (default 'load-',\n"
+      "                                 'wire-' with --connect; must be\n"
+      "                                 unique per driver process)\n"
       "  --max-reconnects <n>           reconnect-and-resync attempts per\n"
       "                                 session (default 3)\n"
       "  --reconnect-attempts <n>       connection tries per reconnect under\n"
       "                                 capped backoff — rides out a\n"
       "                                 supervised server restart (default "
-      "1)\n");
+      "1)\n"
+      "Every session's shadow digest is checked against its host; a\n"
+      "mismatch exits 1.  In-process, a session retired by an injected\n"
+      "fault counts as failed=N and the run still exits 0.\n");
   return 2;
+}
+
+/// `evaluations` is the host's total, known only in-process (empty over
+/// the wire).
+void printReport(const std::string& scenario, bool adpm,
+                 const std::string& target, const service::LoadReport& report,
+                 const std::string& evaluations) {
+  std::printf(
+      "scenario=%s flow=%s sessions=%zu target=%s\n"
+      "completed=%zu operations=%zu%s\n"
+      "notifications=%zu resyncs=%zu reconnects=%zu transientRetries=%zu "
+      "failed=%zu digestMismatches=%zu\n"
+      "wall=%.3fs ops/sec=%.0f applyRtt=%.0fus\n",
+      scenario.c_str(), adpm ? "ADPM" : "conventional", report.sessions,
+      target.c_str(), report.completedSessions, report.operations,
+      evaluations.c_str(), report.notificationsReceived, report.resyncsRequired,
+      report.reconnects, report.transientRetries, report.failedSessions,
+      report.digestMismatches, report.wallSeconds, report.opsPerSecond,
+      report.applyRttMeanMicros);
+  if (!report.firstFailure.empty()) {
+    std::fprintf(stderr, "first failure: %s\n", report.firstFailure.c_str());
+  }
 }
 
 void printSessions(service::SessionStore& store) {
@@ -106,7 +133,7 @@ int main(int argc, char** argv) {
   bool salvage = false;
   std::string faultPlan;
   std::string connect;
-  std::string idPrefix = "wire-";
+  std::string idPrefix;
   unsigned maxReconnects = 3;
   unsigned reconnectAttempts = 1;
 
@@ -184,45 +211,29 @@ int main(int argc, char** argv) {
       spec = gen::scenarioByName(scenarioName);
     }
 
+    service::LoadOptions load;
+    load.sessions = sessions;
+    load.sim.adpm = adpm;
+    load.sim.seed = seed;
+    load.maxOperationsPerSession = maxOps;
+
     if (!connect.empty()) {
       const std::size_t colon = connect.rfind(':');
       if (colon == std::string::npos) {
         std::fprintf(stderr, "--connect needs host:port\n");
         return 2;
       }
-      net::WireLoadOptions wire;
-      wire.host = connect.substr(0, colon);
-      wire.port = static_cast<std::uint16_t>(
+      net::Client::Options client;
+      client.host = connect.substr(0, colon);
+      client.port = static_cast<std::uint16_t>(
           std::strtoul(connect.c_str() + colon + 1, nullptr, 10));
-      wire.sessions = sessions;
-      wire.sim.adpm = adpm;
-      wire.sim.seed = seed;
-      wire.maxOperationsPerSession = maxOps;
-      wire.idPrefix = idPrefix;
-      wire.maxReconnects = maxReconnects;
-      wire.client.reconnectAttempts = reconnectAttempts;
+      client.reconnectAttempts = reconnectAttempts;
+      load.idPrefix = idPrefix.empty() ? "wire-" : idPrefix;
       // Ship the scenario as DDDL so any server accepts it, registry or not;
       // the server replies with its canonical rendering for the shadow.
-      wire.dddl = dddl::write(spec);
-
-      const net::WireLoadReport report = runWireLoad(wire);
-      std::printf(
-          "wire: target=%s scenario=%s flow=%s sessions=%zu\n"
-          "completed=%zu operations=%zu notifications=%zu resyncs=%zu\n"
-          "reconnects=%zu transientRetries=%zu failed=%zu "
-          "digestMismatches=%zu\n"
-          "wall=%.3fs ops/sec=%.0f applyRtt=%.0fus\n",
-          connect.c_str(), scenarioName.c_str(),
-          adpm ? "ADPM" : "conventional", report.sessions,
-          report.completedSessions, report.operations,
-          report.notificationsReceived, report.resyncsRequired,
-          report.reconnects, report.transientRetries, report.failedSessions,
-          report.digestMismatches, report.wallSeconds, report.opsPerSecond,
-          report.applyRttMeanMicros);
-      if (!report.firstFailure.empty()) {
-        std::fprintf(stderr, "first failure: %s\n",
-                     report.firstFailure.c_str());
-      }
+      const service::LoadReport report = service::runLoad(
+          net::wireHost(client, dddl::write(spec), maxReconnects), load);
+      printReport(scenarioName, adpm, "tcp:" + connect, report, "");
       return (report.digestMismatches == 0 && report.failedSessions == 0) ? 0
                                                                           : 1;
     }
@@ -263,32 +274,25 @@ int main(int argc, char** argv) {
     }
 
     service::SessionStore store{std::move(options)};
-    service::LoadOptions load;
-    load.sessions = sessions;
-    load.sim.adpm = adpm;
-    load.sim.seed = seed;
-    load.maxOperationsPerSession = maxOps;
-
+    if (!idPrefix.empty()) load.idPrefix = idPrefix;
     const service::LoadReport report = runLoad(store, spec, load);
 
-    const std::string workers =
-        deterministic ? "inline" : std::to_string(threads);
-    std::printf(
-        "scenario=%s flow=%s sessions=%zu workers=%s\n"
-        "completed=%zu operations=%zu evaluations=%zu\n"
-        "notifications: published=%zu delivered=%zu dropped=%zu\n"
-        "wall=%.3fs ops/sec=%.0f sessions/sec=%.2f\n\n",
-        scenarioName.c_str(), adpm ? "ADPM" : "conventional", report.sessions,
-        workers.c_str(), report.completedSessions, report.operations, report.evaluations,
-        report.notificationsPublished, report.notificationsDelivered,
-        report.notificationsDropped, report.wallSeconds, report.opsPerSecond,
-        report.sessionsPerSecond);
+    std::size_t evaluations = 0;
+    for (const std::string& id : store.ids()) {
+      evaluations += store.snapshot(id).get().evaluations;
+    }
+    printReport(scenarioName, adpm,
+                deterministic ? "inline" : std::to_string(threads) + "-workers",
+                report, " evaluations=" + std::to_string(evaluations));
+    const service::NotificationBus& bus = store.bus();
+    std::printf("bus: published=%zu delivered=%zu dropped=%zu\n\n",
+                bus.published(), bus.delivered(), bus.dropped());
     printSessions(store);
     if (!walDir.empty()) {
       std::printf("\noperation logs in %s (re-run with --recover to replay)\n",
                   walDir.c_str());
     }
-    return 0;
+    return report.digestMismatches == 0 ? 0 : 1;
   } catch (const adpm::Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

@@ -14,7 +14,10 @@
 #   * BM_PropagationFixpoint / BM_Hc4Revise — the zero-allocation hot path;
 #   * BM_ServiceFleet workers:1/2/4 — ops_per_sec and sessions_per_sec of
 #     the concurrent session service; the 4-vs-1 worker ratio is the scaling
-#     claim (needs >1 hardware thread to mean anything);
+#     claim (needs >1 hardware thread to mean anything).  Like
+#     BM_ServiceWire, every BM_ServiceFleet* series includes the client
+#     side: one driver thread and shadow manager per session, so δ runs on
+#     both the session and its shadow;
 #   * BM_ServiceFleetJournaled — the same fleet with the write-ahead log on;
 #   * BM_Recovery ops:64/640 x ckpt_every:0/48 — crash-recovery wall time
 #     and ops_replayed/segments_replayed; with checkpointing on the 640-op

@@ -23,9 +23,9 @@ Rules (each scoped to src/ unless noted):
                  src/.  The definitions live in dpm/scenario and in the
                  same-named network/manager methods it instantiates into.
   std-thread     std::thread objects are created only by the executor's
-                 worker pool, the experiment runner, the wire load driver
-                 (client side), and net/server (the reactor thread and the
-                 shutdown drain helper).  Nothing else may start a thread —
+                 worker pool, the experiment runner, the load driver (one
+                 thread per driven session), and net/server (the reactor
+                 thread and the shutdown drain helper).  Nothing else may start a thread —
                  in particular not one per connection or subscription.
                  std::thread:: qualifiers (id, hardware_concurrency) are
                  fine anywhere.
@@ -35,6 +35,9 @@ Rules (each scoped to src/ unless noted):
                  net/server.cpp (the bounded shutdown drain).  Everything
                  else polls or is woken by callback; in particular the
                  notification queues never block either side.
+  team-client    teamsim::TeamClient (simulated designers as clients of a
+                 hosted session) is used only by the load driver,
+                 service/load.cpp, so there is one client loop to trust.
 
 Matching happens on comment- and string-stripped source (except the
 failpoint scan, which reads names out of string literals), so prose
@@ -115,7 +118,7 @@ STD_THREAD_ALLOW = {
     "util/executor.hpp",
     "util/executor.cpp",
     "teamsim/experiment.cpp",
-    "net/wire_load.cpp",
+    "service/load.cpp",
     "net/server.hpp",
     "net/server.cpp",
 }
@@ -129,6 +132,15 @@ CONDVAR_ALLOW = {
     "util/executor.hpp",
     "util/executor.cpp",
     "net/server.cpp",
+}
+
+# TeamClient and the files allowed to name it: its own definition and the
+# one load driver.
+TEAM_CLIENT_RE = re.compile(r"\bTeamClient\b")
+TEAM_CLIENT_ALLOW = {
+    "teamsim/client.hpp",
+    "teamsim/client.cpp",
+    "service/load.cpp",
 }
 
 FAULT_POINT_RE = re.compile(r'ADPM_FAULT_POINT\(\s*"([^"]+)"\s*\)')
@@ -244,12 +256,16 @@ def main() -> int:
         return name in SCENARIO_BUILD_ALLOW
 
     def thread_allowed(name: str) -> bool:
-        """util/executor, experiment.cpp, wire_load.cpp and net/server"""
+        """util/executor, experiment.cpp, service/load.cpp and net/server"""
         return name in STD_THREAD_ALLOW
 
     def condvar_allowed(name: str) -> bool:
         """util/thread_annotations.hpp, util/executor and net/server.cpp"""
         return name in CONDVAR_ALLOW
+
+    def team_client_allowed(name: str) -> bool:
+        """teamsim/client.* and service/load.cpp (the one load driver)"""
+        return name in TEAM_CLIENT_ALLOW
 
     raw_io_re = re.compile(
         r"(?:\bstd::|::)?\b(?:" + "|".join(RAW_IO_TOKENS) + r")\s*\("
@@ -266,6 +282,9 @@ def main() -> int:
     )
     findings += check_token_rule(files, "std-thread", STD_THREAD_RE, thread_allowed)
     findings += check_token_rule(files, "condvar", CONDVAR_RE, condvar_allowed)
+    findings += check_token_rule(
+        files, "team-client", TEAM_CLIENT_RE, team_client_allowed
+    )
 
     for f in findings:
         print(f)

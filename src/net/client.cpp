@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <thread>
+#include <utility>
 
+#include "dddl/parser.hpp"
 #include "dpm/operation_io.hpp"
 #include "net/protocol.hpp"
 #include "util/error.hpp"
@@ -333,6 +335,126 @@ void Client::closeSession(const std::string& session) {
   json::Value body{json::Object{}};
   body.set("session", session);
   (void)request(FrameType::CloseSession, std::move(body));
+}
+
+// -- load target --------------------------------------------------------------
+
+namespace {
+
+class WireTarget final : public service::LoadTarget {
+ public:
+  WireTarget(const Client::Options& options, std::string dddl,
+             unsigned maxReconnects)
+      : client_(options), dddl_(std::move(dddl)),
+        reconnectsLeft_(maxReconnects) {
+    client_.onNotification(
+        [this](const std::string&, const dpm::Notification& n) {
+          pending_.push_back(n);
+        });
+  }
+
+  const dpm::ScenarioSpec& open(const std::string& id, bool adpm) override {
+    id_ = id;
+    client_.connectWithRetry();
+    spec_ = dddl::parse(client_.openDddl(id, dddl_, adpm).dddl);
+    return spec_;
+  }
+
+  void subscribe(const std::string& designer) override {
+    client_.subscribe(id_, designer);
+    designers_.push_back(designer);
+  }
+
+  bool apply(const dpm::Operation& op, std::size_t stageBefore) override {
+    if (client_.serverShuttingDown()) return false;
+    for (;;) {
+      try {
+        (void)client_.apply(id_, op);
+        break;
+      } catch (const ConnectionError&) {
+        const std::size_t stage = resync().stage;
+        if (stage == stageBefore + 1) break;  // it committed server-side
+        if (stage != stageBefore) {
+          throw adpm::Error("session '" + id_ +
+                            "' diverged across reconnect (server at " +
+                            std::to_string(stage) + ", shadow at " +
+                            std::to_string(stageBefore) + ")");
+        }
+        // It never committed: resend.
+      }
+    }
+    transientRetries = client_.transientRetries();
+    return true;
+  }
+
+  std::vector<dpm::Notification> drain() override {
+    try {
+      client_.pump(0);
+    } catch (const ConnectionError&) {
+      // The last apply was acknowledged, so nothing is in flight; the next
+      // request reconnects.
+    }
+    return std::exchange(pending_, {});
+  }
+
+  service::SessionSnapshot snapshot() override {
+    service::SessionSnapshot snap;
+    try {
+      snap = client_.snapshot(id_, false);
+    } catch (const ConnectionError&) {
+      snap = resync();
+    }
+    transientRetries = client_.transientRetries();
+    return snap;
+  }
+
+ private:
+  /// Reconnects, re-subscribes and fetches the authoritative snapshot, as
+  /// one step: a connection that dies anywhere in it spends one unit of the
+  /// budget and starts over rather than failing the session.  Right after a
+  /// server crash the kernel can hand out connections the dying listener
+  /// had completed into its backlog — they look established and reset on
+  /// first use.
+  service::SessionSnapshot resync() {
+    for (;;) {
+      if (reconnectsLeft_ == 0) {
+        throw ConnectionError("reconnect budget spent");
+      }
+      --reconnectsLeft_;
+      ++reconnects;
+      try {
+        client_.connectWithRetry();
+      } catch (const std::exception& e) {
+        throw ConnectionError(std::string("reconnect failed: ") + e.what());
+      }
+      try {
+        for (const std::string& designer : designers_) {
+          client_.subscribe(id_, designer);
+        }
+        return client_.snapshot(id_, false);
+      } catch (const ConnectionError&) {
+        // stillborn connection or the server died again; spend another
+      }
+    }
+  }
+
+  Client client_;
+  std::string dddl_;
+  unsigned reconnectsLeft_;
+  std::string id_;
+  dpm::ScenarioSpec spec_;
+  std::vector<std::string> designers_;
+  std::vector<dpm::Notification> pending_;
+};
+
+}  // namespace
+
+service::LoadHost wireHost(Client::Options options, std::string dddl,
+                           unsigned maxReconnects) {
+  return {.target = [options = std::move(options), dddl = std::move(dddl),
+                     maxReconnects] {
+    return std::make_unique<WireTarget>(options, dddl, maxReconnects);
+  }};
 }
 
 }  // namespace adpm::net

@@ -16,8 +16,8 @@
 // Transient failure is, by its contract, one where the command did NOT
 // execute.  A ConnectionError is never silently retried: whether
 // the in-flight command executed is unknown, and the caller must
-// reconnect() and resynchronize from a snapshot (wire_load.cpp shows the
-// stage-comparison resync).
+// reconnect() and resynchronize from a snapshot (wireHost's load target
+// shows the stage-comparison resync).
 //
 // Not thread-safe: one Client, one driving thread.
 #pragma once
@@ -33,6 +33,7 @@
 #include "dpm/operation.hpp"
 #include "net/frame.hpp"
 #include "net/socket.hpp"
+#include "service/load.hpp"
 #include "service/session.hpp"
 #include "util/json.hpp"
 #include "util/retry.hpp"
@@ -80,7 +81,7 @@ class Client {
   /// exponential backoff; throws the *last* ConnectionError when they are
   /// exhausted.  Reconnecting never resynchronizes state by itself — the
   /// caller still compares a fresh snapshot() against its shadow (the
-  /// ResyncRequired dance in wire_load.cpp).
+  /// resync in wireHost's load target).
   void connectWithRetry();
   void close();
   bool connected() const noexcept { return fd_.valid(); }
@@ -169,5 +170,15 @@ class Client {
   std::size_t reconnectRetries_ = 0;
   util::Rng rng_;
 };
+
+/// service::runLoad's wire host: one Client connection per session, which
+/// opens the session with `dddl` and hands the driver the server's
+/// canonical rendering for its shadow.  A ConnectionError inside apply or
+/// snapshot reconnects (at most `maxReconnects` times per session),
+/// re-subscribes and fetches the server's snapshot, whose stage settles the
+/// in-flight apply: the shadow's stage + 1 means it committed, the shadow's
+/// stage means it never ran and is resent.
+service::LoadHost wireHost(Client::Options options, std::string dddl,
+                           unsigned maxReconnects = 3);
 
 }  // namespace adpm::net

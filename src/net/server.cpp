@@ -49,15 +49,9 @@ Server::Stats Server::stats() const {
   s.results = results_.load();
   s.errors = errors_.load();
   s.protocolErrors = protocolErrors_.load();
-  s.timeouts = timeouts_.load();
   s.pushes = pushes_.load();
   s.subscriptions = subscriptions_.load();
   return s;
-}
-
-std::chrono::milliseconds Server::effectiveTimeout() const {
-  if (options_.commandTimeout.count() > 0) return options_.commandTimeout;
-  return store_.options().command.timeout;
 }
 
 // -- connection lifecycle -----------------------------------------------------
@@ -198,97 +192,67 @@ void Server::dispatch(Reactor::ConnId conn, FrameType type,
     }
 
     case FrameType::Apply: {
-      const std::string id = req.at("session").asString();
       dpm::Operation op = dpm::operationFromJson(req.at("op"));
-      const auto received = std::chrono::steady_clock::now();
-      const std::chrono::milliseconds timeout = effectiveTimeout();
-      (void)store_.withSession(
-          id, [this, conn, reqId, id, received, timeout,
-               op = std::move(op)](service::Session& session) mutable {
-            try {
-              if (timeout.count() > 0 &&
-                  std::chrono::steady_clock::now() - received >= timeout) {
-                ++timeouts_;
-                throw adpm::TimeoutError(
-                    "command 'applyOperation' on session '" + id +
-                    "' exceeded its deadline while queued");
-              }
-              const auto result = session.apply(std::move(op));
-              json::Value body{json::Object{}};
-              body.set("req", reqId);
-              body.set("record", operationRecordToJson(result.record));
-              body.set("notifications", result.notifications.size());
-              sendResult(conn, std::move(body));
-            } catch (const std::exception& e) {
-              sendError(conn, reqId, e);
-            }
-          });
+      // Applies a copy per attempt, as applyOperation does, so a retried
+      // TransientError replays the identical operation.
+      command(conn, reqId, req, "applyOperation",
+              [reqId, op = std::move(op)](service::Session& session) {
+                const auto result = session.apply(dpm::Operation(op));
+                json::Value body{json::Object{}};
+                body.set("req", reqId);
+                body.set("record", operationRecordToJson(result.record));
+                body.set("notifications", result.notifications.size());
+                return body;
+              });
       return;
     }
 
     case FrameType::Guidance: {
-      const std::string id = req.at("session").asString();
-      (void)store_.withSession(
-          id, [this, conn, reqId](service::Session& session) {
-            try {
-              json::Value body{json::Object{}};
-              body.set("req", reqId);
-              const constraint::GuidanceReport* g =
-                  session.manager().latestGuidance();
-              body.set("present", g != nullptr);
-              if (g != nullptr) {
-                body.set("properties", g->properties.size());
-                body.set("violated", g->violated.size());
-                body.set("extraEvaluations", g->extraEvaluations);
-              }
-              sendResult(conn, std::move(body));
-            } catch (const std::exception& e) {
-              sendError(conn, reqId, e);
-            }
-          });
+      command(conn, reqId, req, "queryGuidance",
+              [reqId](service::Session& session) {
+                json::Value body{json::Object{}};
+                body.set("req", reqId);
+                const constraint::GuidanceReport* g =
+                    session.manager().latestGuidance();
+                body.set("present", g != nullptr);
+                if (g != nullptr) {
+                  body.set("properties", g->properties.size());
+                  body.set("violated", g->violated.size());
+                  body.set("extraEvaluations", g->extraEvaluations);
+                }
+                return body;
+              });
       return;
     }
 
     case FrameType::Verify: {
-      const std::string id = req.at("session").asString();
-      (void)store_.withSession(
-          id, [this, conn, reqId](service::Session& session) {
-            try {
-              const service::Session::VerifyResult result = session.verify();
-              json::Array violated;
-              violated.reserve(result.violated.size());
-              for (const constraint::ConstraintId c : result.violated) {
-                violated.push_back(
-                    json::Value(static_cast<std::size_t>(c.value)));
-              }
-              json::Value body{json::Object{}};
-              body.set("req", reqId);
-              body.set("violated", std::move(violated));
-              body.set("evaluations", result.evaluations);
-              sendResult(conn, std::move(body));
-            } catch (const std::exception& e) {
-              sendError(conn, reqId, e);
-            }
-          });
+      command(conn, reqId, req, "verify", [reqId](service::Session& session) {
+        const service::Session::VerifyResult result = session.verify();
+        json::Array violated;
+        violated.reserve(result.violated.size());
+        for (const constraint::ConstraintId c : result.violated) {
+          violated.push_back(json::Value(static_cast<std::size_t>(c.value)));
+        }
+        json::Value body{json::Object{}};
+        body.set("req", reqId);
+        body.set("violated", std::move(violated));
+        body.set("evaluations", result.evaluations);
+        return body;
+      });
       return;
     }
 
     case FrameType::Snapshot: {
-      const std::string id = req.at("session").asString();
       bool withText = false;
       if (const json::Value* t = req.find("text")) withText = t->asBool();
-      (void)store_.withSession(
-          id, [this, conn, reqId, withText](service::Session& session) {
-            try {
-              json::Value body{json::Object{}};
-              body.set("req", reqId);
-              body.set("snapshot",
-                       snapshotToJson(session.snapshot(), withText));
-              sendResult(conn, std::move(body));
-            } catch (const std::exception& e) {
-              sendError(conn, reqId, e);
-            }
-          });
+      command(conn, reqId, req, "snapshot",
+              [reqId, withText](service::Session& session) {
+                json::Value body{json::Object{}};
+                body.set("req", reqId);
+                body.set("snapshot",
+                         snapshotToJson(session.snapshot(), withText));
+                return body;
+              });
       return;
     }
 
@@ -338,6 +302,20 @@ void Server::dispatch(Reactor::ConnId conn, FrameType type,
   }
 }
 
+template <typename F>
+void Server::command(Reactor::ConnId conn, double reqId, const json::Value& req,
+                     const char* what, F fn) {
+  store_.withSession(
+      req.at("session").asString(), std::move(fn), what,
+      [this, conn, reqId](std::future<json::Value> settled) {
+        try {
+          sendResult(conn, settled.get());
+        } catch (const std::exception& e) {
+          sendError(conn, reqId, e);
+        }
+      });
+}
+
 json::Value Server::statusJson() {
   json::Value v{json::Object{}};
 
@@ -384,7 +362,6 @@ json::Value Server::statusJson() {
   server.set("results", s.results);
   server.set("errors", s.errors);
   server.set("protocolErrors", s.protocolErrors);
-  server.set("timeouts", s.timeouts);
   server.set("pushes", s.pushes);
   server.set("subscriptions", s.subscriptions);
   v.set("server", std::move(server));

@@ -5,7 +5,8 @@
 // every connection and dispatches:
 //
 //   * session commands (Apply/Guidance/Verify/Snapshot) are posted onto the
-//     owning session's strand via SessionStore::withSession — the strand
+//     owning session's strand via SessionStore::withSession, under the
+//     store's CommandPolicy like every in-process command — the strand
 //     executes the command with exclusive session access and sends the
 //     Result/Error frame itself, so the reactor never blocks on a command
 //     and a session's remote operations serialize exactly like local ones;
@@ -22,8 +23,9 @@
 //
 // Failures round-trip the util/error.hpp taxonomy by name (see
 // net/protocol.hpp): a queued-too-long command fails with Timeout *without
-// executing*, a rolled-back WAL append fails Transient and the *client*
-// retries — CommandPolicy semantics, moved to the other end of the wire.
+// executing* (and counts in the store's timeouts()), and a rolled-back WAL
+// append that the store's retries did not absorb fails Transient, which
+// the *client* retries in turn.
 //
 // Shutdown is graceful by default: stop accepting, announce Shutdown to
 // every peer (which stop submitting), drain the strands, flush and close
@@ -63,9 +65,6 @@ class Server {
     /// opens are accepted.  (The net layer does not link the scenario
     /// registry; the CLI wires this up.)
     std::function<const dpm::ScenarioSpec*(const std::string&)> scenarioByName;
-    /// Queue-time deadline for remote commands; 0 = the store's
-    /// CommandPolicy timeout.
-    std::chrono::milliseconds commandTimeout{0};
     Reactor::Options reactor{};
   };
 
@@ -76,7 +75,6 @@ class Server {
     std::size_t results = 0;
     std::size_t errors = 0;          ///< Error frames sent (typed failures)
     std::size_t protocolErrors = 0;  ///< malformed frames/payloads (conn dropped)
-    std::size_t timeouts = 0;        ///< commands shed by the queue deadline
     std::size_t pushes = 0;          ///< Notification frames sent
     std::size_t subscriptions = 0;
   };
@@ -118,11 +116,16 @@ class Server {
 
   void dispatch(Reactor::ConnId conn, FrameType type,
                 const util::json::Value& req, double reqId);
+  /// Runs a session command on its strand under the store's
+  /// CommandPolicy; `fn` returns the Result body, and the strand sends it
+  /// (or the Error frame) itself.
+  template <typename F>
+  void command(Reactor::ConnId conn, double reqId, const util::json::Value& req,
+               const char* what, F fn);
   void sendResult(Reactor::ConnId conn, util::json::Value body);
   void sendError(Reactor::ConnId conn, double reqId, const std::exception& e);
   void protocolFailure(Reactor::ConnId conn, const std::string& message);
   void retireConn(Reactor::ConnId conn);
-  std::chrono::milliseconds effectiveTimeout() const;
   util::json::Value statusJson();
 
   service::SessionStore& store_;
@@ -140,7 +143,7 @@ class Server {
       ADPM_GUARDED_BY(mutex_);
 
   std::atomic<std::size_t> accepted_{0}, closed_{0}, frames_{0}, results_{0},
-      errors_{0}, protocolErrors_{0}, timeouts_{0}, pushes_{0},
+      errors_{0}, protocolErrors_{0}, pushes_{0},
       subscriptions_{0};
 };
 

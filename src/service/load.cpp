@@ -1,135 +1,208 @@
 #include "service/load.hpp"
 
-#include <atomic>
 #include <chrono>
-#include <latch>
-#include <memory>
 #include <optional>
-#include <set>
-#include <vector>
+#include <thread>
 
+#include "dpm/manager.hpp"
+#include "service/store.hpp"
 #include "teamsim/client.hpp"
+#include "util/strings.hpp"
 
 namespace adpm::service {
 
 namespace {
 
+using Clock = std::chrono::steady_clock;
+
+/// One session: its target, its shadow, and what happened.  Touched by one
+/// thread at a time; runLoad sums the outcomes after the drivers finished.
 struct SessionDriver {
   std::string id;
   teamsim::SimulationOptions sim;
-  std::size_t maxOps = 0;
-  /// Built lazily on the strand (needs the instantiated manager).
-  std::optional<teamsim::TeamClient> client;
-  std::size_t ops = 0;
+  std::unique_ptr<LoadTarget> target;
+  std::unique_ptr<dpm::DesignProcessManager> shadow;
+  std::optional<teamsim::TeamClient> team;
 
-  std::latch* done = nullptr;
-  std::atomic<std::size_t>* totalOps = nullptr;
-  std::atomic<std::size_t>* completedSessions = nullptr;
+  std::size_t ops = 0;
+  std::size_t notifications = 0;
+  std::size_t resyncs = 0;
+  bool complete = false;
+  bool mismatch = false;
+  std::optional<std::string> failure;
+  Clock::duration applyTime{};
+
+  void open(const LoadHost& host, const LoadOptions& options,
+            std::size_t index) {
+    id = options.idPrefix + std::to_string(index);
+    sim = options.sim;
+    sim.seed = options.sim.seed + index;  // distinct stream per session
+    guard([&] {
+      target = host.target();
+      // The spec the host instantiated, so instantiate + bootstrap + δ make
+      // the shadow bit-identical to the hosted session.
+      const dpm::ScenarioSpec& spec = target->open(id, sim.adpm);
+      shadow = std::make_unique<dpm::DesignProcessManager>(
+          dpm::DesignProcessManager::Options{.adpm = sim.adpm});
+      dpm::instantiate(spec, *shadow);
+      shadow->bootstrap();
+      team.emplace(*shadow, sim);
+      for (const std::string& designer : shadow->designers()) {
+        target->subscribe(designer);
+      }
+    });
+  }
+
+  void run(std::size_t maxOps) {
+    guard([&] {
+      while (ops < maxOps) {
+        std::optional<dpm::Operation> op = team->propose(*shadow);
+        if (!op) break;  // every designer idle: complete or deadlocked
+        const auto t0 = Clock::now();
+        if (!target->apply(*op, shadow->stage())) break;
+        applyTime += Clock::now() - t0;
+        const dpm::DesignProcessManager::ExecResult local =
+            shadow->execute(std::move(*op));
+        team->observe(*shadow, local.record);
+        ++ops;
+        count(target->drain());
+      }
+      complete = shadow->designComplete();
+      const SessionSnapshot host = target->snapshot();
+      count(target->drain());
+      mismatch = host.stage != shadow->stage() ||
+                 host.digest != util::fnv1a64Hex(snapshotText(*shadow));
+    });
+  }
+
+ private:
+  /// Runs one phase; an exception retires the session as failed.
+  template <typename F>
+  void guard(F phase) {
+    if (failure) return;
+    try {
+      phase();
+    } catch (const std::exception& e) {
+      failure = "session '" + id + "': " + e.what();
+    }
+  }
+
+  void count(const std::vector<dpm::Notification>& batch) {
+    notifications += batch.size();
+    for (const dpm::Notification& n : batch) {
+      if (n.kind == dpm::NotificationKind::ResyncRequired) ++resyncs;
+    }
+  }
 };
 
-/// One operation per strand dispatch: propose, apply, observe, chain the
-/// next step.  Fairness across sessions comes from the strand scheduler
-/// (one task per pool slot), not from this function.
-void pumpSession(SessionStore& store,
-                 const std::shared_ptr<SessionDriver>& driver) {
-  store.withSession(driver->id, [&store, driver](Session& session) {
-    try {
-      if (!driver->client) {
-        driver->client.emplace(session.manager(), driver->sim);
+/// A session in a SessionStore, driven through the typed command API.
+class StoreTarget final : public LoadTarget {
+ public:
+  StoreTarget(SessionStore& store, const dpm::ScenarioSpec& spec)
+      : store_(store), spec_(spec) {}
+
+  const dpm::ScenarioSpec& open(const std::string& id, bool adpm) override {
+    id_ = id;
+    store_.open(id, spec_, adpm);
+    return spec_;
+  }
+
+  void subscribe(const std::string& designer) override {
+    queues_.push_back(store_.subscribe(id_, designer));
+  }
+
+  bool apply(const dpm::Operation& op, std::size_t) override {
+    (void)store_.applyOperation(id_, op).get();
+    return true;
+  }
+
+  std::vector<dpm::Notification> drain() override {
+    std::vector<dpm::Notification> out;
+    for (const auto& queue : queues_) {
+      while (std::optional<dpm::Notification> n = queue->tryPop()) {
+        out.push_back(std::move(*n));
       }
-      std::optional<dpm::Operation> op;
-      if (driver->ops < driver->maxOps) {
-        op = driver->client->propose(session.manager());
-      }
-      if (!op) {  // idle: complete, deadlocked, or over budget
-        if (session.complete()) driver->completedSessions->fetch_add(1);
-        driver->totalOps->fetch_add(driver->ops);
-        driver->done->count_down();
-        return;
-      }
-      const dpm::DesignProcessManager::ExecResult result =
-          session.apply(std::move(*op));
-      driver->client->observe(session.manager(), result.record);
-      ++driver->ops;
-      pumpSession(store, driver);
-    } catch (...) {
-      // A failed pump (poisoned WAL, injected fault, ...) retires the
-      // session as not-completed.  Nobody reads the future withSession
-      // returns here, so swallowing is the only option — and the latch must
-      // count down exactly once per driver or runLoad would hang forever.
-      driver->totalOps->fetch_add(driver->ops);
-      driver->done->count_down();
     }
-  });
-}
+    return out;
+  }
+
+  SessionSnapshot snapshot() override { return store_.snapshot(id_).get(); }
+
+ private:
+  SessionStore& store_;
+  const dpm::ScenarioSpec& spec_;
+  std::string id_;
+  std::vector<std::shared_ptr<NotificationBus::Queue>> queues_;
+};
 
 }  // namespace
 
-LoadReport runLoad(SessionStore& store, const dpm::ScenarioSpec& spec,
-                   const LoadOptions& options) {
+LoadReport runLoad(const LoadHost& host, const LoadOptions& options) {
   LoadReport report;
   report.sessions = options.sessions;
   if (options.sessions == 0) return report;
 
-  std::set<std::string> designers;
-  for (const dpm::ScenarioSpec::Prob& p : spec.problems) {
-    if (!p.owner.empty()) designers.insert(p.owner);
-  }
-
-  const std::size_t publishedBefore = store.bus().published();
-  const std::size_t deliveredBefore = store.bus().delivered();
-  const std::size_t droppedBefore = store.bus().dropped();
-
-  std::latch done(static_cast<std::ptrdiff_t>(options.sessions));
-  std::atomic<std::size_t> totalOps{0};
-  std::atomic<std::size_t> completedSessions{0};
-
-  std::vector<std::string> ids;
-  std::vector<std::shared_ptr<NotificationBus::Queue>> queues;
-  ids.reserve(options.sessions);
-  for (std::size_t i = 0; i < options.sessions; ++i) {
-    const std::string id = options.idPrefix + std::to_string(i);
-    store.open(id, spec, options.sim.adpm);
-    if (options.subscribe) {
-      for (const std::string& designer : designers) {
-        queues.push_back(store.subscribe(id, designer));
-      }
+  std::vector<SessionDriver> drivers(options.sessions);
+  const auto start = Clock::now();
+  if (host.inlineSessions) {
+    // Every session is open before the first operation, so a journaling
+    // store writes all log headers first, as it always has.
+    for (std::size_t i = 0; i < drivers.size(); ++i) {
+      drivers[i].open(host, options, i);
     }
-    ids.push_back(id);
+    for (SessionDriver& d : drivers) d.run(options.maxOperationsPerSession);
+  } else {
+    std::vector<std::jthread> threads;  // joined when the vector dies
+    threads.reserve(drivers.size());
+    for (std::size_t i = 0; i < drivers.size(); ++i) {
+      threads.emplace_back([&host, &options, &d = drivers[i], i] {
+        d.open(host, options, i);
+        d.run(options.maxOperationsPerSession);
+      });
+    }
   }
+  const auto stop = Clock::now();
 
-  const auto start = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < options.sessions; ++i) {
-    auto driver = std::make_shared<SessionDriver>();
-    driver->id = ids[i];
-    driver->sim = options.sim;
-    driver->sim.seed = options.sim.seed + i;  // distinct stream per session
-    driver->maxOps = options.maxOperationsPerSession;
-    driver->done = &done;
-    driver->totalOps = &totalOps;
-    driver->completedSessions = &completedSessions;
-    pumpSession(store, driver);
+  Clock::duration applyTime{};
+  for (const SessionDriver& d : drivers) {
+    report.operations += d.ops;
+    report.notificationsReceived += d.notifications;
+    report.resyncsRequired += d.resyncs;
+    applyTime += d.applyTime;
+    if (d.target) {
+      report.reconnects += d.target->reconnects;
+      report.transientRetries += d.target->transientRetries;
+    }
+    if (d.failure) {
+      ++report.failedSessions;
+      if (report.firstFailure.empty()) report.firstFailure = *d.failure;
+      continue;
+    }
+    if (d.complete) ++report.completedSessions;
+    if (d.mismatch) ++report.digestMismatches;
   }
-  done.wait();
-  const auto stop = std::chrono::steady_clock::now();
-
-  report.completedSessions = completedSessions.load();
-  report.operations = totalOps.load();
-  for (const std::string& id : ids) {
-    report.evaluations += store.snapshot(id).get().evaluations;
-  }
-  report.notificationsPublished = store.bus().published() - publishedBefore;
-  report.notificationsDelivered = store.bus().delivered() - deliveredBefore;
-  report.notificationsDropped = store.bus().dropped() - droppedBefore;
-  report.wallSeconds =
-      std::chrono::duration<double>(stop - start).count();
+  report.wallSeconds = std::chrono::duration<double>(stop - start).count();
   if (report.wallSeconds > 0.0) {
     report.opsPerSecond =
         static_cast<double>(report.operations) / report.wallSeconds;
-    report.sessionsPerSecond =
-        static_cast<double>(report.completedSessions) / report.wallSeconds;
+  }
+  if (report.operations > 0) {
+    report.applyRttMeanMicros =
+        std::chrono::duration<double, std::micro>(applyTime).count() /
+        static_cast<double>(report.operations);
   }
   return report;
+}
+
+LoadReport runLoad(SessionStore& store, const dpm::ScenarioSpec& spec,
+                   const LoadOptions& options) {
+  return runLoad(
+      LoadHost{
+          .target = [&store, &spec] {
+            return std::make_unique<StoreTarget>(store, spec);
+          },
+          .inlineSessions = store.executor().deterministic()},
+      options);
 }
 
 }  // namespace adpm::service

@@ -275,35 +275,39 @@ std::future<dpm::DesignProcessManager::ExecResult>
 SessionStore::applyOperation(const std::string& id, dpm::Operation op) {
   // The lambda keeps ownership of `op` and applies a *copy* per attempt, so
   // a TransientError retry replays the identical operation.
-  return submit(id, "applyOperation", [op = std::move(op)](Session& session) {
-    if (ADPM_FAULT_POINT("store.apply") != util::FaultAction::None) {
-      throw adpm::FaultInjectedError("injected failure applying operation");
-    }
-    return session.apply(dpm::Operation(op));
-  });
+  return withSession(
+      id,
+      [op = std::move(op)](Session& session) {
+        if (ADPM_FAULT_POINT("store.apply") != util::FaultAction::None) {
+          throw adpm::FaultInjectedError("injected failure applying operation");
+        }
+        return session.apply(dpm::Operation(op));
+      },
+      "applyOperation");
 }
 
 std::future<std::optional<constraint::GuidanceReport>>
 SessionStore::queryGuidance(const std::string& id) {
-  return submit(
-      id, "queryGuidance",
+  return withSession(
+      id,
       [](Session& session) -> std::optional<constraint::GuidanceReport> {
         const constraint::GuidanceReport* g =
             session.manager().latestGuidance();
         if (g == nullptr) return std::nullopt;
         return *g;
-      });
+      },
+      "queryGuidance");
 }
 
 std::future<Session::VerifyResult> SessionStore::verify(
     const std::string& id) {
-  return submit(id, "verify",
-                [](Session& session) { return session.verify(); });
+  return withSession(
+      id, [](Session& session) { return session.verify(); }, "verify");
 }
 
 std::future<SessionSnapshot> SessionStore::snapshot(const std::string& id) {
-  return submit(id, "snapshot",
-                [](Session& session) { return session.snapshot(); });
+  return withSession(
+      id, [](Session& session) { return session.snapshot(); }, "snapshot");
 }
 
 std::shared_ptr<NotificationBus::Queue> SessionStore::subscribe(

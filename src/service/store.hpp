@@ -154,19 +154,37 @@ class SessionStore {
       const std::string& id, const std::string& designer,
       NotificationBus::Wake wake = {});
 
-  /// Escape hatch for drivers (load generator, CLI): runs `fn` with
-  /// exclusive access to the session on its strand.  Bypasses the command
-  /// policy — no deadline, no retry.
+  /// Runs `fn(session)` on the session's strand under the command policy:
+  /// a command still queued past CommandPolicy::timeout fails with
+  /// TimeoutError without running, and a TransientError is retried per
+  /// CommandPolicy::retry, so `fn` must be safe to run again after one.
+  /// The default policy has no deadline and makes one attempt.  `what`
+  /// names the command in the timeout message.
   template <typename F>
-  auto withSession(const std::string& id, F fn)
+  auto withSession(const std::string& id, F fn, const char* what = "command")
       -> std::future<std::invoke_result_t<F&, Session&>> {
     using R = std::invoke_result_t<F&, Session&>;
     std::shared_ptr<Entry> entry = entryOf(id);
     auto task = std::make_shared<std::packaged_task<R()>>(
-        [entry, fn = std::move(fn)]() mutable { return fn(*entry->session); });
+        underPolicy(entry, id, what, std::move(fn)));
     std::future<R> future = task->get_future();
     entry->strand->post([task] { (*task)(); });
     return future;
+  }
+
+  /// Callback form for callers that must not block on a future (the wire
+  /// server): `done` runs on the strand with the settled future — fn's
+  /// result, or the policy's or fn's exception.
+  template <typename F, typename Done>
+  void withSession(const std::string& id, F fn, const char* what, Done done) {
+    using R = std::invoke_result_t<F&, Session&>;
+    std::shared_ptr<Entry> entry = entryOf(id);
+    auto task = std::make_shared<std::packaged_task<R()>>(
+        underPolicy(entry, id, what, std::move(fn)));
+    entry->strand->post([task, done = std::move(done)]() mutable {
+      (*task)();
+      done(task->get_future());
+    });
   }
 
   /// TransientError retries performed by the command policy (monotonic).
@@ -198,37 +216,32 @@ class SessionStore {
   /// deterministic jitter from the store's seeded stream.
   void backoffBeforeRetry(unsigned attempt);
 
-  /// Typed-command wrapper around withSession: applies the store's command
-  /// policy — queue-time deadline (TimeoutError) and capped exponential
-  /// retry-with-jitter for TransientError — on the session's strand.
+  /// `fn` wrapped in the command policy: the queue-time deadline (checked
+  /// when the strand dequeues it) and capped exponential
+  /// retry-with-jitter for TransientError.
   template <typename F>
-  auto submit(const std::string& id, const char* what, F fn)
-      -> std::future<std::invoke_result_t<F&, Session&>> {
-    using R = std::invoke_result_t<F&, Session&>;
-    std::shared_ptr<Entry> entry = entryOf(id);
-    const auto posted = std::chrono::steady_clock::now();
-    auto task = std::make_shared<std::packaged_task<R()>>(
-        [this, entry, fn = std::move(fn), posted, what, id]() mutable -> R {
-          const CommandPolicy& policy = options_.command;
-          if (policy.timeout.count() > 0 &&
-              std::chrono::steady_clock::now() - posted >= policy.timeout) {
-            noteTimeout();
-            throw adpm::TimeoutError("command '" + std::string(what) +
-                                     "' on session '" + id +
-                                     "' exceeded its deadline while queued");
-          }
-          for (unsigned attempt = 1;; ++attempt) {
-            try {
-              return fn(*entry->session);
-            } catch (const adpm::TransientError&) {
-              if (attempt >= policy.retry.maxAttempts) throw;
-              backoffBeforeRetry(attempt);
-            }
-          }
-        });
-    std::future<R> future = task->get_future();
-    entry->strand->post([task] { (*task)(); });
-    return future;
+  auto underPolicy(std::shared_ptr<Entry> entry, std::string id,
+                   const char* what, F fn) {
+    return [this, entry = std::move(entry), id = std::move(id), what,
+            fn = std::move(fn),
+            posted = std::chrono::steady_clock::now()]() mutable {
+      const CommandPolicy& policy = options_.command;
+      if (policy.timeout.count() > 0 &&
+          std::chrono::steady_clock::now() - posted >= policy.timeout) {
+        noteTimeout();
+        throw adpm::TimeoutError("command '" + std::string(what) +
+                                 "' on session '" + id +
+                                 "' exceeded its deadline while queued");
+      }
+      for (unsigned attempt = 1;; ++attempt) {
+        try {
+          return fn(*entry->session);
+        } catch (const adpm::TransientError&) {
+          if (attempt >= policy.retry.maxAttempts) throw;
+          backoffBeforeRetry(attempt);
+        }
+      }
+    };
   }
 
   void noteTimeout();

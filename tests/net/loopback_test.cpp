@@ -1,10 +1,11 @@
 // End-to-end wire tests: a real net::Server on a loopback socket, driven by
-// net::Client / runWireLoad.  Covers concurrent clients with digest
-// verification, WAL recovery bit-identity across the process boundary
-// (simulated by a fresh store), graceful shutdown semantics, the typed error
-// taxonomy over the wire, subscription pushes (no thread per subscription,
-// slow-consumer degradation, pushes from in-process publishers), and
-// malformed-frame handling.
+// net::Client and service::runLoad over net::wireHost.  Covers concurrent
+// clients with digest verification, WAL recovery bit-identity across the
+// process boundary (simulated by a fresh store), graceful shutdown
+// semantics, the typed error taxonomy and the store's command deadline over
+// the wire, Open by scenario name, subscription pushes (no thread per
+// subscription, slow-consumer degradation, pushes from in-process
+// publishers), and malformed-frame handling.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -26,7 +27,7 @@
 #include "net/frame.hpp"
 #include "net/server.hpp"
 #include "net/socket.hpp"
-#include "net/wire_load.hpp"
+#include "service/load.hpp"
 #include "service/store.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
@@ -161,12 +162,11 @@ TEST_F(LoopbackTest, FourConcurrentClientsCompleteAndMatchDigests) {
   Server server(store, Server::Options{});
   const std::uint16_t port = server.start();
 
-  WireLoadOptions load;
-  load.port = port;
+  service::LoadOptions load;
   load.sessions = 4;
-  load.dddl = sensingDddl();
   load.sim.seed = 11;
-  const WireLoadReport report = runWireLoad(load);
+  const service::LoadReport report =
+      service::runLoad(wireHost(clientOptions(port), sensingDddl()), load);
 
   EXPECT_EQ(report.sessions, 4u);
   EXPECT_EQ(report.completedSessions, 4u);
@@ -185,12 +185,11 @@ TEST_F(LoopbackTest, WalRecoveryIsBitIdenticalAfterWireLoad) {
     Server server(store, Server::Options{});
     const std::uint16_t port = server.start();
 
-    WireLoadOptions load;
-    load.port = port;
+    service::LoadOptions load;
     load.sessions = 2;
-    load.dddl = sensingDddl();
     load.sim.seed = 5;
-    const WireLoadReport report = runWireLoad(load);
+    const service::LoadReport report =
+        service::runLoad(wireHost(clientOptions(port), sensingDddl()), load);
     ASSERT_EQ(report.failedSessions, 0u);
     ASSERT_EQ(report.digestMismatches, 0u);
 
@@ -271,18 +270,68 @@ TEST_F(LoopbackTest, TypedErrorsRoundTripOverTheWire) {
   EXPECT_TRUE(server.shutdown(5s));
 }
 
+TEST_F(LoopbackTest, RemoteApplyQueuedPastTheDeadlineIsShedAndCounted) {
+  // Wire commands run under the store's CommandPolicy, like in-process
+  // ones: an Apply queued behind a busy strand past the deadline is shed
+  // without executing, and the shed shows in the store's own counter.
+  service::SessionStore::Options so = storeOptions();
+  so.command.timeout = 50ms;
+  service::SessionStore store{so};
+  Server server(store, Server::Options{});
+  const std::uint16_t port = server.start();
+  store.open("busy", budgetScenario(), /*adpm=*/true);
+
+  // Posted first, so the remote Apply below queues behind it.
+  auto sleeper = store.withSession(
+      "busy", [](service::Session&) { std::this_thread::sleep_for(500ms); });
+  Client client{clientOptions(port)};
+  client.connect();
+  EXPECT_THROW(client.apply("busy", synth(1, "ana", 1, 30.0)),
+               adpm::TimeoutError);
+  sleeper.get();
+
+  EXPECT_EQ(store.timeouts(), 1u);
+  EXPECT_EQ(store.snapshot("busy").get().stage, 0u);  // never executed
+  EXPECT_EQ(client.status().at("store").at("timeouts").asNumber(), 1.0);
+
+  EXPECT_TRUE(server.shutdown(5s));
+}
+
+TEST_F(LoopbackTest, OpenByNameReturnsTheScenarioAsCanonicalDddl) {
+  service::SessionStore store{storeOptions()};
+  const dpm::ScenarioSpec sensing = gen::scenarioByName("sensing");
+  Server::Options opts;
+  opts.scenarioByName =
+      [&sensing](const std::string& name) -> const dpm::ScenarioSpec* {
+    return name == "sensing" ? &sensing : nullptr;
+  };
+  Server server(store, opts);
+  const std::uint16_t port = server.start();
+
+  Client client{clientOptions(port)};
+  client.connect();
+  const Client::OpenResult open =
+      client.openScenario("named", "sensing", /*adpm=*/true);
+  EXPECT_EQ(open.session, "named");
+  EXPECT_TRUE(open.adpm);
+  EXPECT_EQ(open.dddl, sensingDddl());
+  EXPECT_TRUE(store.has("named"));
+  EXPECT_THROW(client.openScenario("other", "no-such-scenario", true),
+               adpm::InvalidArgumentError);
+
+  EXPECT_TRUE(server.shutdown(5s));
+}
+
 TEST_F(LoopbackTest, SubscriptionStreamsNotifications) {
   service::SessionStore store{storeOptions()};
   Server server(store, Server::Options{});
   const std::uint16_t port = server.start();
 
-  WireLoadOptions load;
-  load.port = port;
+  service::LoadOptions load;
   load.sessions = 1;
-  load.dddl = sensingDddl();
-  load.subscribe = true;
   load.sim.seed = 3;
-  const WireLoadReport report = runWireLoad(load);
+  const service::LoadReport report =
+      service::runLoad(wireHost(clientOptions(port), sensingDddl()), load);
   EXPECT_EQ(report.failedSessions, 0u);
   EXPECT_GT(report.notificationsReceived, 0u);
 

@@ -18,7 +18,7 @@
 #include "net/client.hpp"
 #include "net/frame.hpp"
 #include "net/server.hpp"
-#include "net/wire_load.hpp"
+#include "service/load.hpp"
 #include "service/store.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
@@ -177,14 +177,15 @@ TEST_F(NetFaultTest, WireLoadUnderSocketFaultsNeverDivergesSilently) {
   util::FaultRegistry::instance().armFromSpec(
       "net.write=short-write:every=60:max=4");
 
-  WireLoadOptions load;
-  load.port = port;
+  Client::Options client;
+  client.port = port;
+  const service::LoadHost host = wireHost(
+      client, dddl::write(gen::scenarioByName("sensing")), /*maxReconnects=*/16);
+  service::LoadOptions load;
   load.sessions = 2;
-  load.dddl = dddl::write(gen::scenarioByName("sensing"));
   load.sim.seed = 17;
-  load.maxReconnects = 16;
   load.idPrefix = "chaos-";
-  const WireLoadReport report = runWireLoad(load);
+  const service::LoadReport report = service::runLoad(host, load);
 
   EXPECT_GE(util::FaultRegistry::instance().fired("net.write"), 1u);
   EXPECT_EQ(report.digestMismatches, 0u);
@@ -193,9 +194,9 @@ TEST_F(NetFaultTest, WireLoadUnderSocketFaultsNeverDivergesSilently) {
   // Disarm and prove the service recovered fully: a clean load on the same
   // server must succeed end to end.
   util::FaultRegistry::instance().reset();
-  WireLoadOptions clean = load;
+  service::LoadOptions clean = load;
   clean.idPrefix = "after-";
-  const WireLoadReport after = runWireLoad(clean);
+  const service::LoadReport after = service::runLoad(host, clean);
   EXPECT_EQ(after.completedSessions, after.sessions);
   EXPECT_EQ(after.failedSessions, 0u);
   EXPECT_EQ(after.digestMismatches, 0u);

@@ -1,5 +1,6 @@
 // Concurrency: eight live sessions (three designers each) on a real thread
-// pool, driven by the TeamSim load generator.  Run under ThreadSanitizer in
+// pool, driven by the TeamSim load driver (one driver thread and shadow
+// manager per session).  Run under ThreadSanitizer in
 // CI (the ADPM_TSAN build) — the assertions here are the functional half,
 // TSan provides the race-freedom half.
 #include <gtest/gtest.h>
@@ -48,23 +49,28 @@ TEST_F(ServiceConcurrencyTest, EightSessionsOnFourWorkers) {
 
   EXPECT_EQ(report.sessions, 8u);
   EXPECT_EQ(report.completedSessions, 8u);  // every design finished
+  EXPECT_EQ(report.failedSessions, 0u);
+  EXPECT_EQ(report.digestMismatches, 0u);  // every shadow matched its session
   EXPECT_GT(report.operations, 0u);
-  EXPECT_GT(report.evaluations, 0u);
-  EXPECT_GT(report.notificationsPublished, 0u);
-  EXPECT_GT(report.notificationsDelivered, 0u);
+  EXPECT_GT(store.bus().published(), 0u);
+  EXPECT_GT(store.bus().delivered(), 0u);
+  EXPECT_GT(report.notificationsReceived, 0u);
   EXPECT_EQ(store.sessionCount(), 8u);
 
   // Every concurrent session journaled a WAL that replays to the exact
   // state the live session ended in — the strand serialized its operations
   // correctly even with 8 sessions contending for 4 workers.
+  std::size_t evaluations = 0;
   for (const std::string& id : store.ids()) {
     const SessionSnapshot live = store.snapshot(id).get();
+    evaluations += live.evaluations;
     EXPECT_TRUE(live.complete);
     const auto replayed =
         recoverSession((dir_ / (id + ".wal")).string());
     EXPECT_EQ(replayed->snapshot().text, live.text) << id;
     EXPECT_EQ(replayed->snapshot().digest, live.digest) << id;
   }
+  EXPECT_GT(evaluations, 0u);
 }
 
 TEST_F(ServiceConcurrencyTest, ConcurrentRunMatchesDeterministicRun) {
@@ -86,6 +92,8 @@ TEST_F(ServiceConcurrencyTest, ConcurrentRunMatchesDeterministicRun) {
   SessionStore concStore{std::move(conc)};
   const LoadReport concReport = runLoad(concStore, spec, load);
 
+  EXPECT_EQ(refReport.digestMismatches, 0u);
+  EXPECT_EQ(concReport.digestMismatches, 0u);
   EXPECT_EQ(concReport.operations, refReport.operations);
   EXPECT_EQ(concReport.completedSessions, refReport.completedSessions);
   for (const std::string& id : refStore.ids()) {

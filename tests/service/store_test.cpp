@@ -190,15 +190,15 @@ TEST(SessionStore, CloseForgetsTheSessionButKeepsTheWal) {
 TEST(SessionStore, QueuedTooLongCommandFailsWithTimeoutError) {
   SessionStore::Options o;
   o.executor.threads = 1;  // one worker: the sleeper blocks the strand
-  o.command.timeout = std::chrono::milliseconds(1);
+  o.command.timeout = std::chrono::milliseconds(20);
   SessionStore store{std::move(o)};
   store.open("s", twoTeamScenario(), true);
 
-  // Occupy the session's strand (withSession bypasses the policy), then
-  // queue a typed command behind it; by the time the strand dequeues the
-  // command its deadline has long passed.
+  // Occupy the session's strand (dequeued at once, so well within its own
+  // deadline), then queue a typed command behind it; by the time the
+  // strand dequeues the command its deadline has long passed.
   auto sleeper = store.withSession("s", [](Session&) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
     return 0;
   });
   auto late = store.applyOperation("s", synth(1, "ana", 1, 30.0));
