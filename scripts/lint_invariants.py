@@ -38,6 +38,14 @@ Rules (each scoped to src/ unless noted):
   team-client    teamsim::TeamClient (simulated designers as clients of a
                  hosted session) is used only by the load driver,
                  service/load.cpp, so there is one client loop to trust.
+  fp-determinism (every CMakeLists.txt and *.cmake in the repository, build
+                 trees excluded) No flag that licenses value-changing
+                 floating-point code: -ffast-math, -Ofast,
+                 -ffp-contract=fast, -mfma, -march=.  src/CMakeLists.txt
+                 must pin add_compile_options(-ffp-contract=off), so the
+                 inline interval core is never contracted into FMAs and
+                 hulls, digests and evaluation counts stay bit-identical
+                 across compilers and targets.
 
 Matching happens on comment- and string-stripped source (except the
 failpoint scan, which reads names out of string literals), so prose
@@ -143,6 +151,14 @@ TEAM_CLIENT_ALLOW = {
     "service/load.cpp",
 }
 
+# Compiler flags that let the optimizer change floating-point results, and
+# the pin src/CMakeLists.txt must carry.
+FP_FORBIDDEN_RE = re.compile(
+    r"(?<![\w-])(?:-ffast-math|-Ofast|-ffp-contract=fast|-mfma|-march=)"
+)
+FP_PIN_RE = re.compile(r"\badd_compile_options\s*\([^)]*-ffp-contract=off\b")
+FP_PIN_FILE = SRC / "CMakeLists.txt"
+
 FAULT_POINT_RE = re.compile(r'ADPM_FAULT_POINT\(\s*"([^"]+)"\s*\)')
 # Names in the FAILPOINTS.md table: a backticked name in the first column.
 DOC_NAME_RE = re.compile(r"^\|\s*`([a-z]+\.[a-z_]+)`", re.MULTILINE)
@@ -217,6 +233,61 @@ def check_failpoints(files) -> list[str]:
     return findings
 
 
+def strip_cmake_comments(text: str) -> str:
+    """Blank out CMake line comments (# outside quotes), keeping lines."""
+    out = []
+    for line in text.split("\n"):
+        in_quote = False
+        for i, c in enumerate(line):
+            if c == '"' and (i == 0 or line[i - 1] != "\\"):
+                in_quote = not in_quote
+            elif c == "#" and not in_quote:
+                line = line[:i]
+                break
+        out.append(line)
+    return "\n".join(out)
+
+
+def cmake_files():
+    """Every CMakeLists.txt and *.cmake in the repository outside build
+    trees (a directory holding a CMakeCache.txt) and hidden directories."""
+    found = []
+
+    def walk(d: Path):
+        if (d / "CMakeCache.txt").is_file():
+            return
+        for p in sorted(d.iterdir()):
+            if p.name.startswith("."):
+                continue
+            if p.is_dir():
+                walk(p)
+            elif p.name == "CMakeLists.txt" or p.suffix == ".cmake":
+                found.append(p)
+
+    walk(REPO)
+    return found
+
+
+def check_fp_determinism() -> list[str]:
+    findings = []
+    for p in cmake_files():
+        name = p.relative_to(REPO).as_posix()
+        stripped = strip_cmake_comments(p.read_text())
+        for m in FP_FORBIDDEN_RE.finditer(stripped):
+            findings.append(
+                f"fp-determinism: {name}:{line_of(stripped, m.start())}: "
+                f"'{m.group(0)}' may change floating-point results; "
+                f"hulls, digests and evaluation counts are pinned bit for bit"
+            )
+    pin = FP_PIN_FILE.read_text() if FP_PIN_FILE.is_file() else ""
+    if not FP_PIN_RE.search(strip_cmake_comments(pin)):
+        findings.append(
+            f"fp-determinism: {FP_PIN_FILE.relative_to(REPO).as_posix()}: "
+            f"missing add_compile_options(-ffp-contract=off)"
+        )
+    return findings
+
+
 def check_token_rule(files, rule, pattern, allowed) -> list[str]:
     findings = []
     for p in files:
@@ -285,6 +356,7 @@ def main() -> int:
     findings += check_token_rule(
         files, "team-client", TEAM_CLIENT_RE, team_client_allowed
     )
+    findings += check_fp_determinism()
 
     for f in findings:
         print(f)

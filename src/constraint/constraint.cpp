@@ -1,7 +1,6 @@
 #include "constraint/constraint.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "expr/simplify.hpp"
 #include "util/error.hpp"
@@ -83,19 +82,6 @@ Status classify(const interval::Interval& residual,
   if (!residual.intersects(target)) return Status::Violated;
   if (target.contains(residual)) return Status::Satisfied;
   return Status::Consistent;
-}
-
-interval::Interval tolerancedTarget(const interval::Interval& target,
-                                    const interval::Interval& residual,
-                                    double tol) noexcept {
-  double scale = 1.0;
-  if (!residual.empty()) {
-    const double lo = std::abs(residual.lo());
-    const double hi = std::abs(residual.hi());
-    const double mag = std::max(lo, hi);
-    if (std::isfinite(mag)) scale = std::max(scale, mag);
-  }
-  return target.inflate(0.0, tol * scale);
 }
 
 }  // namespace adpm::constraint

@@ -98,17 +98,10 @@ class Constraint {
 Status classify(const interval::Interval& residual,
                 const interval::Interval& target) noexcept;
 
-/// Default relative feasibility tolerance.  Equality constraints between
-/// values that travelled through chains of floating-point models are never
-/// met *exactly*; a verification tool would report them as passing within
-/// its numeric tolerance, and so does this library.
-inline constexpr double kFeasibilityTolerance = 1e-7;
-
-/// The target interval padded by a tolerance scaled to the residual's
-/// magnitude; use for classification and propagation so boundary-exact
-/// designs do not flip to Violated through rounding.
-interval::Interval tolerancedTarget(const interval::Interval& target,
-                                    const interval::Interval& residual,
-                                    double tol = kFeasibilityTolerance) noexcept;
+/// The feasibility tolerance and its target padding are defined once, in
+/// the expression layer, so `CompiledExpr::revisePadded` and classification
+/// apply the same rule.
+using expr::kFeasibilityTolerance;
+using expr::tolerancedTarget;
 
 }  // namespace adpm::constraint

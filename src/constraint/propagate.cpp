@@ -125,21 +125,18 @@ PropagationResult Propagator::runOnBoxFast(
     s.before.clear();
     for (PropertyId arg : c.arguments()) s.before.push_back(box[arg.value]);
 
-    // Revise against a tolerance-padded target: a first forward sweep sizes
-    // the pad to the residual's magnitude so boundary-exact designs are not
-    // flipped to Violated by rounding.
-    const interval::Interval forward =
-        c.compiled().evaluate({box.data(), box.size()});
-    const interval::Interval target = tolerancedTarget(c.target(), forward);
+    // Revise against a tolerance-padded target: the revise's own forward
+    // sweep sizes the pad to the residual's magnitude so boundary-exact
+    // designs are not flipped to Violated by rounding.
     const expr::ReviseResult r =
-        c.compiled().revise(target, {box.data(), box.size()});
+        c.compiled().revisePadded(c.target(), {box.data(), box.size()});
     ++revises;
 
     if (!r.feasible) {
       result.status[cid.value] = Status::Violated;
       continue;  // no narrowing to propagate from a violated constraint
     }
-    result.status[cid.value] = classify(r.value, target);
+    result.status[cid.value] = classify(r.value, r.target);
 
     if (!r.narrowed || !options_.fixpoint) continue;
 

@@ -13,10 +13,8 @@ interval::IntervalSet solveUnivariate(Network& net, ConstraintId c,
   if (range.empty() || !range.isBounded()) {
     // Unbounded ranges cannot be sliced uniformly; fall back to one revise.
     box[arg.value] = range;
-    const auto r = con.compiled().revise(
-        tolerancedTarget(con.target(),
-                         con.compiled().evaluate({box.data(), box.size()})),
-        {box.data(), box.size()});
+    const auto r =
+        con.compiled().revisePadded(con.target(), {box.data(), box.size()});
     return r.feasible ? interval::IntervalSet(box[arg.value])
                       : interval::IntervalSet();
   }
@@ -30,19 +28,17 @@ interval::IntervalSet solveUnivariate(Network& net, ConstraintId c,
                              range.lo() + width * (i + 1) / slices);
     auto working = box;
     working[arg.value] = slice;
-    const interval::Interval forward =
-        con.compiled().evaluate({working.data(), working.size()});
-    const auto target = tolerancedTarget(con.target(), forward);
-    const auto r =
-        con.compiled().revise(target, {working.data(), working.size()});
+    const auto r = con.compiled().revisePadded(
+        con.target(), {working.data(), working.size()});
     if (!r.feasible) continue;
-    // Refine the slice a few times to tighten lobe edges.
+    // Refine the slice a few times to tighten lobe edges, reusing the
+    // slice's padded target.
     interval::Interval kept = working[arg.value];
     for (int step = 0; step < options.refinements; ++step) {
       auto inner = box;
       inner[arg.value] = kept;
       const auto rr =
-          con.compiled().revise(target, {inner.data(), inner.size()});
+          con.compiled().revise(r.target, {inner.data(), inner.size()});
       if (!rr.feasible) break;
       if (inner[arg.value] == kept) break;
       kept = inner[arg.value];

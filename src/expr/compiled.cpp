@@ -1,6 +1,7 @@
 #include "expr/compiled.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "expr/sweep.hpp"
 #include "util/error.hpp"
@@ -15,6 +16,13 @@ CompiledExpr::CompiledExpr(const Expr& e) {
   vars_ = variablesOf(e);
   span_ = 0;
   for (VarId v : vars_) span_ = std::max(span_, static_cast<std::size_t>(v) + 1);
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    if (nodes_[i].kind != OpKind::Var) continue;
+    const auto slot = static_cast<std::size_t>(
+        std::lower_bound(vars_.begin(), vars_.end(), nodes_[i].var) -
+        vars_.begin());
+    varSlots_.push_back({i, slot});
+  }
   fwd_.resize(nodes_.size());
   bwd_.resize(nodes_.size());
 }
@@ -183,12 +191,37 @@ DerivativeSweep CompiledExpr::derivatives(std::span<const Interval> domains) {
   return out;
 }
 
+Interval tolerancedTarget(const Interval& target, const Interval& residual,
+                          double tol) noexcept {
+  double scale = 1.0;
+  if (!residual.empty()) {
+    const double lo = std::abs(residual.lo());
+    const double hi = std::abs(residual.hi());
+    const double mag = std::max(lo, hi);
+    if (std::isfinite(mag)) scale = std::max(scale, mag);
+  }
+  return target.inflate(0.0, tol * scale);
+}
+
 ReviseResult CompiledExpr::revise(const Interval& target,
                                   std::span<Interval> domains) {
   countSweep();
   forwardSweep({domains.data(), domains.size()});
+  return backwardSweep(target, domains);
+}
+
+ReviseResult CompiledExpr::revisePadded(const Interval& rawTarget,
+                                        std::span<Interval> domains) {
+  countSweep();
+  forwardSweep({domains.data(), domains.size()});
+  return backwardSweep(tolerancedTarget(rawTarget, fwd_.back()), domains);
+}
+
+ReviseResult CompiledExpr::backwardSweep(const Interval& target,
+                                         std::span<Interval> domains) {
   ReviseResult result;
   result.value = fwd_.back();
+  result.target = target;
 
   const Interval rootRange = interval::intersect(result.value, target);
   if (rootRange.empty()) {
@@ -311,12 +344,8 @@ ReviseResult CompiledExpr::revise(const Interval& target,
   refined_.resize(vars_.size());
   std::vector<Interval>& refined = refined_;
   for (std::size_t k = 0; k < vars_.size(); ++k) refined[k] = domains[vars_[k]];
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (nodes_[i].kind != OpKind::Var) continue;
-    const VarId v = nodes_[i].var;
-    const auto k = static_cast<std::size_t>(
-        std::lower_bound(vars_.begin(), vars_.end(), v) - vars_.begin());
-    refined[k] = interval::intersect(refined[k], bwd_[i]);
+  for (const VarSlot& vs : varSlots_) {
+    refined[vs.slot] = interval::intersect(refined[vs.slot], bwd_[vs.node]);
   }
   for (std::size_t k = 0; k < vars_.size(); ++k) {
     if (refined[k].empty()) {

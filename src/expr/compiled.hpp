@@ -6,8 +6,9 @@
 // systems (Bessiere & Regin's arc-consistency work is cited).  Our equivalent
 // primitive is HC4-revise: a forward interval sweep of the expression tree
 // followed by a backward projection pass that narrows the variable domains to
-// the values compatible with the constraint's target interval.  Each call to
-// `revise` (or `evaluate`) corresponds to one "constraint evaluation" in the
+// the values compatible with the constraint's target interval.  Propagation
+// calls `revisePadded`, which sizes the target's tolerance pad from the same
+// forward sweep; each such call is one "constraint evaluation" in the
 // paper's cost metric.
 #pragma once
 
@@ -19,10 +20,26 @@
 
 namespace adpm::expr {
 
+/// Default relative feasibility tolerance.  Equality constraints between
+/// values that travelled through chains of floating-point models are never
+/// met *exactly*; a verification tool would report them as passing within
+/// its numeric tolerance, and so does this library.
+inline constexpr double kFeasibilityTolerance = 1e-7;
+
+/// The target interval padded by a tolerance scaled to the residual's
+/// magnitude; use for classification and propagation so boundary-exact
+/// designs do not flip to Violated through rounding.
+interval::Interval tolerancedTarget(const interval::Interval& target,
+                                    const interval::Interval& residual,
+                                    double tol = kFeasibilityTolerance) noexcept;
+
 /// Result of one HC4-revise call.
 struct ReviseResult {
   /// Forward interval enclosure of the expression over the input box.
   interval::Interval value;
+  /// The target the backward sweep narrowed against (for `revisePadded`,
+  /// the raw target after tolerance padding).
+  interval::Interval target;
   /// False when value ∩ target is empty (the constraint cannot be met
   /// anywhere in the box); domains are left untouched in that case.
   bool feasible = false;
@@ -74,6 +91,14 @@ class CompiledExpr {
   ReviseResult revise(const interval::Interval& target,
                       std::span<interval::Interval> domains);
 
+  /// HC4-revise against `tolerancedTarget(rawTarget, value)`, where `value`
+  /// is this revise's own forward enclosure: one sweep where
+  /// `evaluate` → `tolerancedTarget` → `revise` takes two, with a
+  /// bit-identical result.  The padded target is returned in
+  /// `ReviseResult::target`.
+  ReviseResult revisePadded(const interval::Interval& rawTarget,
+                            std::span<interval::Interval> domains);
+
  private:
   struct CNode {
     OpKind kind;
@@ -84,11 +109,23 @@ class CompiledExpr {
     int child1;
   };
 
+  /// A Var node and the index of its variable in `vars_`.
+  struct VarSlot {
+    std::size_t node;
+    std::size_t slot;
+  };
+
   int compile(const Expr& e);
   void forwardSweep(std::span<const interval::Interval> domains);
+  /// Backward projection and harvest over the enclosures the last forward
+  /// sweep left in fwd_.
+  ReviseResult backwardSweep(const interval::Interval& target,
+                             std::span<interval::Interval> domains);
 
   std::vector<CNode> nodes_;  // postorder; root is nodes_.back()
   std::vector<VarId> vars_;
+  /// Every Var node with its slot, in node order (the harvest's input).
+  std::vector<VarSlot> varSlots_;
   std::size_t span_ = 0;
   std::vector<interval::Interval> fwd_;
   std::vector<interval::Interval> bwd_;

@@ -10,13 +10,6 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// IEEE-safe product for bound arithmetic: 0 * inf is 0 here, because the
-/// zero factor comes from a degenerate bound, not from a limit process.
-double mulBound(double a, double b) noexcept {
-  if (a == 0.0 || b == 0.0) return 0.0;
-  return a * b;
-}
-
 }  // namespace
 
 bool Interval::isBounded() const noexcept {
@@ -40,15 +33,6 @@ double Interval::clamp(double v) const noexcept {
   return std::min(std::max(v, lo_), hi_);
 }
 
-Interval Interval::inflate(double rel, double abs_) const noexcept {
-  if (empty()) return *this;
-  double lo = lo_;
-  double hi = hi_;
-  if (std::isfinite(lo)) lo -= std::max(rel * std::fabs(lo), abs_);
-  if (std::isfinite(hi)) hi += std::max(rel * std::fabs(hi), abs_);
-  return Interval(lo, hi);
-}
-
 std::string Interval::str(int digits) const {
   if (empty()) return "{}";
   std::ostringstream out;
@@ -57,53 +41,9 @@ std::string Interval::str(int digits) const {
   return out.str();
 }
 
-Interval intersect(const Interval& a, const Interval& b) noexcept {
-  if (a.empty() || b.empty()) return Interval::emptySet();
-  return Interval(std::max(a.lo(), b.lo()), std::min(a.hi(), b.hi()));
-}
-
-Interval hull(const Interval& a, const Interval& b) noexcept {
-  if (a.empty()) return b;
-  if (b.empty()) return a;
-  return Interval(std::min(a.lo(), b.lo()), std::max(a.hi(), b.hi()));
-}
-
-Interval operator+(const Interval& a, const Interval& b) noexcept {
-  if (a.empty() || b.empty()) return Interval::emptySet();
-  return Interval(a.lo() + b.lo(), a.hi() + b.hi());
-}
-
-Interval operator-(const Interval& a, const Interval& b) noexcept {
-  if (a.empty() || b.empty()) return Interval::emptySet();
-  return Interval(a.lo() - b.hi(), a.hi() - b.lo());
-}
-
-Interval operator-(const Interval& a) noexcept {
-  if (a.empty()) return a;
-  return Interval(-a.hi(), -a.lo());
-}
-
-Interval operator*(const Interval& a, const Interval& b) noexcept {
-  if (a.empty() || b.empty()) return Interval::emptySet();
-  const double p1 = mulBound(a.lo(), b.lo());
-  const double p2 = mulBound(a.lo(), b.hi());
-  const double p3 = mulBound(a.hi(), b.lo());
-  const double p4 = mulBound(a.hi(), b.hi());
-  return Interval(std::min({p1, p2, p3, p4}), std::max({p1, p2, p3, p4}));
-}
-
 Interval operator/(const Interval& a, const Interval& b) noexcept {
   const IntervalPair parts = extendedDiv(a, b);
   return hull(parts.first, parts.second);
-}
-
-Interval sqr(const Interval& a) noexcept {
-  if (a.empty()) return a;
-  const double l = a.lo();
-  const double h = a.hi();
-  if (l >= 0.0) return Interval(l * l, h * h);
-  if (h <= 0.0) return Interval(h * h, l * l);
-  return Interval(0.0, std::max(l * l, h * h));
 }
 
 Interval sqrt(const Interval& a) noexcept {

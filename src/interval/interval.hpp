@@ -16,6 +16,8 @@
 //    slack are negligible at the scale of the paper's design ranges.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <limits>
 #include <string>
 
@@ -84,7 +86,14 @@ class Interval {
   double clamp(double v) const noexcept;
 
   /// Widens each finite bound outward by max(rel*|bound|, abs_).
-  Interval inflate(double rel, double abs_) const noexcept;
+  Interval inflate(double rel, double abs_) const noexcept {
+    if (empty()) return *this;
+    double lo = lo_;
+    double hi = hi_;
+    if (std::isfinite(lo)) lo -= std::max(rel * std::fabs(lo), abs_);
+    if (std::isfinite(hi)) hi += std::max(rel * std::fabs(hi), abs_);
+    return Interval(lo, hi);
+  }
 
   std::string str(int digits = 6) const;
 
@@ -98,23 +107,74 @@ class Interval {
   double hi_ = -std::numeric_limits<double>::infinity();
 };
 
+// The leaf operations below are defined inline: every HC4 sweep calls them
+// once or more per expression node, and a call across translation units
+// costs as much as the operation itself.
+
 // -- set operations ---------------------------------------------------------
 
-Interval intersect(const Interval& a, const Interval& b) noexcept;
+inline Interval intersect(const Interval& a, const Interval& b) noexcept {
+  if (a.empty() || b.empty()) return Interval::emptySet();
+  return Interval(std::max(a.lo(), b.lo()), std::min(a.hi(), b.hi()));
+}
+
 /// Convex hull (smallest interval containing both).
-Interval hull(const Interval& a, const Interval& b) noexcept;
+inline Interval hull(const Interval& a, const Interval& b) noexcept {
+  if (a.empty()) return b;
+  if (b.empty()) return a;
+  return Interval(std::min(a.lo(), b.lo()), std::max(a.hi(), b.hi()));
+}
 
 // -- arithmetic (forward evaluation) ----------------------------------------
 
-Interval operator+(const Interval& a, const Interval& b) noexcept;
-Interval operator-(const Interval& a, const Interval& b) noexcept;
-Interval operator*(const Interval& a, const Interval& b) noexcept;
+namespace detail {
+
+/// IEEE-safe product for bound arithmetic: 0 * inf is 0 here, because the
+/// zero factor comes from a degenerate bound, not from a limit process.
+inline double mulBound(double a, double b) noexcept {
+  if (a == 0.0 || b == 0.0) return 0.0;
+  return a * b;
+}
+
+}  // namespace detail
+
+inline Interval operator+(const Interval& a, const Interval& b) noexcept {
+  if (a.empty() || b.empty()) return Interval::emptySet();
+  return Interval(a.lo() + b.lo(), a.hi() + b.hi());
+}
+
+inline Interval operator-(const Interval& a, const Interval& b) noexcept {
+  if (a.empty() || b.empty()) return Interval::emptySet();
+  return Interval(a.lo() - b.hi(), a.hi() - b.lo());
+}
+
+inline Interval operator*(const Interval& a, const Interval& b) noexcept {
+  if (a.empty() || b.empty()) return Interval::emptySet();
+  const double p1 = detail::mulBound(a.lo(), b.lo());
+  const double p2 = detail::mulBound(a.lo(), b.hi());
+  const double p3 = detail::mulBound(a.hi(), b.lo());
+  const double p4 = detail::mulBound(a.hi(), b.hi());
+  return Interval(std::min({p1, p2, p3, p4}), std::max({p1, p2, p3, p4}));
+}
+
 /// Hull of a/b; division by an interval containing 0 widens appropriately
 /// (entire when 0 is interior, half-line when 0 is an endpoint).
 Interval operator/(const Interval& a, const Interval& b) noexcept;
-Interval operator-(const Interval& a) noexcept;
 
-Interval sqr(const Interval& a) noexcept;
+inline Interval operator-(const Interval& a) noexcept {
+  if (a.empty()) return a;
+  return Interval(-a.hi(), -a.lo());
+}
+
+inline Interval sqr(const Interval& a) noexcept {
+  if (a.empty()) return a;
+  const double l = a.lo();
+  const double h = a.hi();
+  if (l >= 0.0) return Interval(l * l, h * h);
+  if (h <= 0.0) return Interval(h * h, l * l);
+  return Interval(0.0, std::max(l * l, h * h));
+}
+
 Interval sqrt(const Interval& a) noexcept;       // domain-clipped to x >= 0
 Interval pow(const Interval& a, int n) noexcept; // integer powers, n may be < 0
 Interval exp(const Interval& a) noexcept;

@@ -8,7 +8,9 @@
 // propagator and the compiled-AD miner to *bit-identical* results — same
 // PropagationResult, same GuidanceReport, and, the paper's reproduced cost
 // metric, the same charged evaluation counts — across all four scenarios
-// and a range of design states (initial, partially bound, violated).
+// and a range of design states (initial, partially bound, violated), and on
+// the generated nonlinear networks (zoo-small, zoo-medium mid-run) that
+// dominate the benchmark's hot path.
 #include <gtest/gtest.h>
 
 #include "constraint/miner.hpp"
@@ -16,6 +18,8 @@
 #include "dpm/manager.hpp"
 #include "dpm/scenario.hpp"
 #include "gen/registry.hpp"
+#include "teamsim/client.hpp"
+#include "teamsim/options.hpp"
 
 namespace adpm::constraint {
 namespace {
@@ -69,7 +73,9 @@ struct Pair {
   dpm::DesignProcessManager fast;
   dpm::DesignProcessManager reference;
 
-  explicit Pair(const dpm::ScenarioSpec& spec) {
+  explicit Pair(const dpm::ScenarioSpec& spec,
+                const dpm::DesignProcessManager::Options& options = {})
+      : fast(options), reference(options) {
     dpm::instantiate(spec, fast);
     dpm::instantiate(spec, reference);
   }
@@ -123,6 +129,33 @@ struct Pair {
   }
 };
 
+/// Binds every third unbound property to its hull midpoint — a plausible
+/// partially-designed state with plenty of mixed statuses.
+void bindMidRange(Pair& pair) {
+  Network& net = pair.fastNet();
+  for (std::size_t i = 0; i < net.propertyCount(); i += 3) {
+    const Property& p = net.property(PropertyId{static_cast<std::uint32_t>(i)});
+    if (p.bound()) continue;
+    pair.bindBoth(i, p.initial.hull().mid());
+  }
+}
+
+/// Drives properties toward their extremes to manufacture violations (the
+/// conventional-mode designer does exactly this kind of damage); the
+/// miner's what-if re-propagation for bound violated properties is the
+/// expensive path this exercises.
+void bindExtremes(Pair& pair) {
+  Network& net = pair.fastNet();
+  std::size_t boundCount = 0;
+  for (std::size_t i = 0; i < net.propertyCount() && boundCount < 6; ++i) {
+    const Property& p = net.property(PropertyId{static_cast<std::uint32_t>(i)});
+    if (p.bound()) continue;
+    const interval::Interval hull = p.initial.hull();
+    pair.bindBoth(i, boundCount % 2 == 0 ? hull.hi() : hull.lo());
+    ++boundCount;
+  }
+}
+
 TEST(Differential, InitialStateAllScenarios) {
   for (auto& [name, spec] : allScenarios()) {
     Pair pair(spec);
@@ -133,14 +166,7 @@ TEST(Differential, InitialStateAllScenarios) {
 TEST(Differential, MidRangeBindingsAllScenarios) {
   for (auto& [name, spec] : allScenarios()) {
     Pair pair(spec);
-    // Bind every third unbound property to its hull midpoint — a plausible
-    // partially-designed state with plenty of mixed statuses.
-    Network& net = pair.fastNet();
-    for (std::size_t i = 0; i < net.propertyCount(); i += 3) {
-      const Property& p = net.property(PropertyId{static_cast<std::uint32_t>(i)});
-      if (p.bound()) continue;
-      pair.bindBoth(i, p.initial.hull().mid());
-    }
+    bindMidRange(pair);
     pair.check(name + "/mid-range");
   }
 }
@@ -148,21 +174,53 @@ TEST(Differential, MidRangeBindingsAllScenarios) {
 TEST(Differential, ViolatedStateAllScenarios) {
   for (auto& [name, spec] : allScenarios()) {
     Pair pair(spec);
-    // Drive properties toward their extremes to manufacture violations (the
-    // conventional-mode designer does exactly this kind of damage); the
-    // miner's what-if re-propagation for bound violated properties is the
-    // expensive path this exercises.
-    Network& net = pair.fastNet();
-    std::size_t boundCount = 0;
-    for (std::size_t i = 0; i < net.propertyCount() && boundCount < 6; ++i) {
-      const Property& p = net.property(PropertyId{static_cast<std::uint32_t>(i)});
-      if (p.bound()) continue;
-      const interval::Interval hull = p.initial.hull();
-      pair.bindBoth(i, boundCount % 2 == 0 ? hull.hi() : hull.lo());
-      ++boundCount;
-    }
+    bindExtremes(pair);
     pair.check(name + "/extremes");
   }
+}
+
+TEST(Differential, ZooSmallAllStates) {
+  // The generated networks are nonlinear, cyclic and far larger than the
+  // paper's cases: the benchmark's hot path, held to the same equivalence
+  // in the same three states.
+  const dpm::ScenarioSpec spec = gen::scenarioByName("zoo-small");
+  {
+    Pair pair(spec);
+    pair.check("zoo-small/initial");
+  }
+  {
+    Pair pair(spec);
+    bindMidRange(pair);
+    pair.check("zoo-small/mid-range");
+  }
+  {
+    Pair pair(spec);
+    bindExtremes(pair);
+    pair.check("zoo-small/extremes");
+  }
+}
+
+TEST(Differential, ZooMediumAfterTeamSimOps) {
+  // A mid-run zoo-medium state: ten TeamSim operations (bindings, repairs,
+  // decompositions that activate staged constraints) proposed on one side
+  // and executed on both.
+  teamsim::SimulationOptions options;
+  options.adpm = true;
+  options.seed = 1;
+  Pair pair(gen::scenarioByName("zoo-medium"), options.managerOptions());
+  pair.fast.bootstrap();
+  pair.reference.bootstrap();
+  teamsim::TeamClient client(pair.fast, options);
+  std::size_t ops = 0;
+  for (; ops < 10; ++ops) {
+    std::optional<dpm::Operation> op = client.propose(pair.fast);
+    if (!op) break;
+    (void)pair.reference.execute(*op);
+    client.observe(pair.fast, pair.fast.execute(std::move(*op)).record);
+  }
+  ASSERT_EQ(ops, 10u);
+  ASSERT_EQ(pair.fastNet().currentBox(), pair.refNet().currentBox());
+  pair.check("zoo-medium/after-10-ops");
 }
 
 TEST(Differential, SinglePassAndNoShavingModes) {

@@ -2,10 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
+#include "constraint/constraint.hpp"
+#include "dpm/manager.hpp"
+#include "dpm/scenario.hpp"
 #include "expr/eval.hpp"
+#include "gen/registry.hpp"
 #include "util/rng.hpp"
 
 namespace adpm::expr {
@@ -132,6 +139,79 @@ TEST(CompiledExpr, ReviseIsIdempotentOnFixpoint) {
   EXPECT_TRUE(r1.narrowed);
   auto r2 = ce.revise(target, box);
   EXPECT_FALSE(r2.narrowed);  // already at fixpoint
+}
+
+bool sameBits(const Interval& a, const Interval& b) {
+  return std::bit_cast<std::uint64_t>(a.lo()) ==
+             std::bit_cast<std::uint64_t>(b.lo()) &&
+         std::bit_cast<std::uint64_t>(a.hi()) ==
+             std::bit_cast<std::uint64_t>(b.hi());
+}
+
+/// A random domain drawn around `hull`: a sub-interval, a point, a
+/// half-unbounded ray, or an interval wholly outside the hull (a box with
+/// no overlap with the states the constraint was written for).
+Interval randomDomain(util::Rng& rng, const Interval& hull) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const Interval base = hull.isBounded() ? hull : Interval(-1e3, 1e3);
+  const double w = std::max(base.width(), 1e-3);
+  const double a = rng.uniform(base.lo(), base.hi());
+  const double b = rng.uniform(base.lo(), base.hi());
+  switch (rng.index(5)) {
+    case 0: return Interval(std::min(a, b), std::max(a, b));
+    case 1: return Interval(a);
+    case 2: return Interval(a, kInf);
+    case 3: return Interval(-kInf, a);
+    default:
+      return rng.chance(0.5) ? Interval(base.hi() + w, base.hi() + 2 * w)
+                             : Interval(base.lo() - 2 * w, base.lo() - w);
+  }
+}
+
+// The fused revise (one forward sweep sizes the tolerance pad and feeds the
+// backward sweep) against the evaluate → tolerancedTarget → revise sequence
+// it replaces in propagation: every output bit-identical on every zoo-small
+// constraint over seeded random boxes.
+TEST(CompiledExpr, RevisePaddedMatchesEvaluateThenRevise) {
+  dpm::DesignProcessManager mgr;
+  dpm::instantiate(gen::scenarioByName("zoo-small"), mgr);
+  const constraint::Network& net = mgr.network();
+  const std::vector<Interval> initial = net.currentBox();
+  util::Rng rng(16);
+  std::size_t feasible = 0;
+  std::size_t infeasible = 0;
+  std::size_t narrowed = 0;
+  for (const constraint::ConstraintId id : net.constraintIds()) {
+    const constraint::Constraint& c = net.constraint(id);
+    CompiledExpr fused(c.residual());
+    CompiledExpr twoSweep(c.residual());
+    for (int trial = 0; trial < 64; ++trial) {
+      std::vector<Interval> box = initial;
+      for (const VarId v : fused.variables()) {
+        box[v] = randomDomain(rng, initial[v]);
+      }
+      std::vector<Interval> expected = box;
+      const Interval target =
+          tolerancedTarget(c.target(), twoSweep.evaluate(expected));
+      const ReviseResult want = twoSweep.revise(target, expected);
+      const ReviseResult got = fused.revisePadded(c.target(), box);
+
+      SCOPED_TRACE(c.name() + " trial " + std::to_string(trial));
+      EXPECT_TRUE(sameBits(got.value, want.value));
+      EXPECT_TRUE(sameBits(got.target, target));
+      EXPECT_EQ(got.feasible, want.feasible);
+      EXPECT_EQ(got.narrowed, want.narrowed);
+      for (std::size_t v = 0; v < box.size(); ++v) {
+        EXPECT_TRUE(sameBits(box[v], expected[v])) << "domain " << v;
+      }
+      (want.feasible ? feasible : infeasible) += 1;
+      narrowed += want.narrowed ? 1 : 0;
+    }
+  }
+  // The random boxes reach every outcome the propagator distinguishes.
+  EXPECT_GT(feasible, 0u);
+  EXPECT_GT(infeasible, 0u);
+  EXPECT_GT(narrowed, 0u);
 }
 
 // Property: HC4-revise never prunes a witness point satisfying the
