@@ -96,32 +96,47 @@ void BM_MinerFullPass(benchmark::State& state) {
 }
 BENCHMARK(BM_MinerFullPass)->Arg(0)->Arg(1)->ArgNames({"receiver"});
 
-// The DCM's per-operation mining pass, isolated.  Three engines:
-//   mode 0 — Reference: evaluate + symbolic monotonicity walk per
-//            (property, constraint) incidence, Θ(Σβᵢ) expression sweeps;
-//   mode 1 — Fast/cold: one fused compiled-AD sweep per constraint, the
-//            box generation bumped every iteration so the cache never hits,
-//            Θ(nc) sweeps — this isolates the AD-sweep win;
-//   mode 2 — Fast/cached: unchanged box (what-if reporting / repeated
-//            browser refreshes), Θ(0) sweeps after the first mine.
-// The `sweeps_per_mine` counter is the Θ-claim made observable; wall time
-// is the actual win.  Charged evaluations are identical in all modes (the
-// differential tests enforce it).
+// Drives the first six unbound properties alternately to the top and bottom
+// of their ranges (the differential tests' extremes recipe): a violated
+// state in which bound properties sit in violations, so every mine also
+// runs what-if propagations.
+void bindExtremes(constraint::Network& net) {
+  int bound = 0;
+  for (const auto pid : net.propertyIds()) {
+    if (bound == 6) break;
+    const constraint::Property& p = net.property(pid);
+    if (p.bound()) continue;
+    const interval::Interval hull = p.initial.hull();
+    net.bind(pid, bound % 2 == 0 ? hull.hi() : hull.lo());
+    ++bound;
+  }
+}
+
+// The DCM's per-operation mining pass, isolated.  Three states:
+//   mode 1 — cold: initial state, one fused compiled-AD sweep per
+//            constraint, the box generation bumped every iteration so the
+//            cache never hits, Θ(nc) sweeps;
+//   mode 2 — cached: unchanged initial box (repeated browser refreshes),
+//            Θ(0) sweeps after the first mine;
+//   mode 3 — violated: the extremes state, cold cache, so each mine pays
+//            the AD sweeps plus a what-if propagation per bound property
+//            caught in a violation — the what-if cost modes 1 and 2 never
+//            reach, since an initial state binds nothing.
+// The `sweeps_per_mine` counter is the Θ-claim made observable, and
+// `whatif_evals_per_mine` the charged what-if evaluations; wall time is the
+// actual cost.
 void BM_MineGuidance(benchmark::State& state) {
   const bool receiver = state.range(0) != 0;
   const int mode = static_cast<int>(state.range(1));
   auto mgr = makeManager(receiver);
   auto& net = mgr->network();
+  if (mode == 3) bindExtremes(net);
   constraint::Propagator prop;
   const auto propagation = prop.run(net);
-
-  constraint::HeuristicMiner::Options options;
-  options.engine = mode == 0 ? constraint::MinerEngine::Reference
-                             : constraint::MinerEngine::Fast;
-  const constraint::HeuristicMiner miner{options};
+  const constraint::HeuristicMiner miner;
 
   // An unbound property whose no-op unbind bumps the box generation without
-  // changing the box — the cache-invalidation knob for the cold mode.
+  // changing the box — the cache-invalidation knob for the cold modes.
   const auto unboundPid = [&]() {
     for (const auto pid : net.propertyIds()) {
       if (!net.property(pid).bound()) return pid;
@@ -131,24 +146,32 @@ void BM_MineGuidance(benchmark::State& state) {
 
   expr::resetSweepCount();
   std::uint64_t mines = 0;
+  std::size_t whatIf = 0;
   for (auto _ : state) {
-    if (mode == 1) net.unbind(unboundPid);
-    benchmark::DoNotOptimize(miner.mine(net, propagation));
+    if (mode != 2) net.unbind(unboundPid);
+    const auto report = miner.mine(net, propagation);
+    whatIf += report.extraEvaluations;
+    benchmark::DoNotOptimize(report);
     ++mines;
   }
+  if (mode == 3 && whatIf == 0) {
+    state.SkipWithError("violated state ran no what-if propagation");
+    return;
+  }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  const double perMine = mines == 0 ? 0.0 : 1.0 / static_cast<double>(mines);
   state.counters["sweeps_per_mine"] = benchmark::Counter(
-      mines == 0 ? 0.0
-                 : static_cast<double>(expr::sweepCount()) /
-                       static_cast<double>(mines));
+      static_cast<double>(expr::sweepCount()) * perMine);
+  state.counters["whatif_evals_per_mine"] =
+      benchmark::Counter(static_cast<double>(whatIf) * perMine);
 }
 BENCHMARK(BM_MineGuidance)
-    ->Args({0, 0})
     ->Args({0, 1})
     ->Args({0, 2})
-    ->Args({1, 0})
+    ->Args({0, 3})
     ->Args({1, 1})
     ->Args({1, 2})
+    ->Args({1, 3})
     ->ArgNames({"receiver", "mode"});
 
 // Size sweep over the generated scenario zoo (~10 → ~6000 constraints).

@@ -6,11 +6,13 @@
 #
 # Writes BENCH_propagation.json and BENCH_service.json in the repository
 # root.  The interesting counters:
-#   * BM_MineGuidance .../mode:0 vs mode:1 — expression sweeps per mine
-#     (sweeps_per_mine) and wall time, reference tree-walk engine vs the
-#     compiled-AD fast engine with a cold cache (the Θ(Σβᵢ) → Θ(nc) claim);
-#   * mode:2 — the fast engine over an unchanged box (generation-keyed cache
-#     hit, the what-if reporting steady state);
+#   * BM_MineGuidance .../mode:1 — expression sweeps per mine
+#     (sweeps_per_mine) and wall time of the compiled-AD miner with a cold
+#     cache (Θ(nc) sweeps);
+#   * mode:2 — the miner over an unchanged box (generation-keyed cache hit,
+#     the repeated-refresh steady state);
+#   * mode:3 — a violated state with a cold cache: sweeps_per_mine and
+#     whatif_evals_per_mine include the what-if propagations;
 #   * BM_PropagationFixpoint / BM_Hc4Revise — the zero-allocation hot path;
 #   * BM_ServiceFleet workers:1/2/4 — ops_per_sec and sessions_per_sec of
 #     the concurrent session service; the 4-vs-1 worker ratio is the scaling

@@ -46,6 +46,11 @@ Rules (each scoped to src/ unless noted):
                  inline interval core is never contracted into FMAs and
                  hulls, digests and evaluation counts stay bit-identical
                  across compilers and targets.
+  test-oracle    The reference implementations live in tests/oracle, not in
+                 the shipped library: src/ names none of referenceMode,
+                 runOnBoxReference, MinerEngine, helpDirection, evalInterval
+                 or monotonicity (whole words), and no CMakeLists.txt
+                 outside tests/ names the oracle target, adpm_oracle.
 
 Matching happens on comment- and string-stripped source (except the
 failpoint scan, which reads names out of string literals), so prose
@@ -158,6 +163,15 @@ FP_FORBIDDEN_RE = re.compile(
 )
 FP_PIN_RE = re.compile(r"\badd_compile_options\s*\([^)]*-ffp-contract=off\b")
 FP_PIN_FILE = SRC / "CMakeLists.txt"
+
+# Names of the reference implementations, which belong to tests/oracle, and
+# the oracle library's CMake target.
+TEST_ORACLE_RE = re.compile(
+    r"\b(?:referenceMode|runOnBoxReference|MinerEngine|helpDirection|"
+    r"evalInterval|monotonicity)\b"
+)
+ORACLE_TARGET_RE = re.compile(r"\badpm_oracle\b")
+TESTS = REPO / "tests"
 
 FAULT_POINT_RE = re.compile(r'ADPM_FAULT_POINT\(\s*"([^"]+)"\s*\)')
 # Names in the FAILPOINTS.md table: a backticked name in the first column.
@@ -288,6 +302,21 @@ def check_fp_determinism() -> list[str]:
     return findings
 
 
+def check_oracle_target() -> list[str]:
+    findings = []
+    for p in cmake_files():
+        if p.is_relative_to(TESTS):
+            continue
+        stripped = strip_cmake_comments(p.read_text())
+        for m in ORACLE_TARGET_RE.finditer(stripped):
+            findings.append(
+                f"test-oracle: {p.relative_to(REPO).as_posix()}:"
+                f"{line_of(stripped, m.start())}: '{m.group(0)}' is the test "
+                f"oracle library; only targets under tests/ may link it"
+            )
+    return findings
+
+
 def check_token_rule(files, rule, pattern, allowed) -> list[str]:
     findings = []
     for p in files:
@@ -334,6 +363,10 @@ def main() -> int:
         """util/thread_annotations.hpp, util/executor and net/server.cpp"""
         return name in CONDVAR_ALLOW
 
+    def oracle_allowed(name: str) -> bool:
+        """tests/oracle (never the shipped library)"""
+        return False
+
     def team_client_allowed(name: str) -> bool:
         """teamsim/client.* and service/load.cpp (the one load driver)"""
         return name in TEAM_CLIENT_ALLOW
@@ -356,6 +389,10 @@ def main() -> int:
     findings += check_token_rule(
         files, "team-client", TEAM_CLIENT_RE, team_client_allowed
     )
+    findings += check_token_rule(
+        files, "test-oracle", TEST_ORACLE_RE, oracle_allowed
+    )
+    findings += check_oracle_target()
     findings += check_fp_determinism()
 
     for f in findings:

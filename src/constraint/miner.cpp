@@ -19,10 +19,10 @@ int neededResidualShift(const interval::Interval& residual,
 }
 
 /// Combines the residual's position, the relation's natural side, and the
-/// derived slope direction into a help direction.  Shared by the reference
-/// and fast engines so the two differ only in how `residual` and `slope`
-/// were obtained.  Precedence (see helpDirection's doc comment): proven
-/// sign > proven Constant (0, no fallback) > declared fallback for Unknown.
+/// derived slope direction into a help direction: +1 increase helps, -1
+/// decrease helps, 0 no verdict.  Precedence (see HeuristicMiner::mine):
+/// proven sign > proven Constant (0, no fallback) > declared fallback for
+/// Unknown.
 int combineHelpDirection(const Constraint& c, PropertyId p,
                          const interval::Interval& residual,
                          expr::Direction slope) {
@@ -60,7 +60,7 @@ int combineHelpDirection(const Constraint& c, PropertyId p,
   return c.declaredHelpDirection(p);
 }
 
-/// Fast-engine help direction: reads the constraint's mining cache,
+/// Help direction of `p` in `c`: reads the constraint's mining cache,
 /// refreshing it with one fused AD sweep when the box generation moved.
 int cachedHelpDirection(Constraint& c, PropertyId p, std::uint64_t generation,
                         const std::vector<interval::Interval>& box) {
@@ -83,14 +83,6 @@ int cachedHelpDirection(Constraint& c, PropertyId p, std::uint64_t generation,
 }
 
 }  // namespace
-
-int helpDirection(Network& net, Constraint& c, PropertyId p,
-                  const std::vector<interval::Interval>& box) {
-  (void)net;
-  const interval::Interval residual = c.compiled().evaluate(box);
-  return combineHelpDirection(c, p, residual,
-                              expr::monotonicity(c.residual(), box, p.value));
-}
 
 GuidanceReport HeuristicMiner::mine(Network& net,
                                     const PropagationResult& prop) const {
@@ -123,9 +115,7 @@ GuidanceReport HeuristicMiner::mine(Network& net,
       const bool violated = prop.isViolated(cid);
       if (violated) ++g.alpha;
 
-      const int dir = options_.engine == MinerEngine::Fast
-                          ? cachedHelpDirection(c, pid, generation, box)
-                          : helpDirection(net, c, pid, box);
+      const int dir = cachedHelpDirection(c, pid, generation, box);
       if (dir > 0) {
         g.increasing.push_back(cid);
         if (violated) ++g.repairVotesUp;

@@ -61,40 +61,6 @@ struct GuidanceReport {
   const PropertyGuidance& of(PropertyId p) const { return properties.at(p.value); }
 };
 
-/// The direction of property movement that helps satisfy a constraint, given
-/// the current violation side: +1 increase helps, -1 decrease helps, 0 no
-/// verdict.
-///
-/// Derived-direction precedence (intended semantics, also what the fast
-/// engine reproduces): a *proven* sign (Increasing/Decreasing) wins; a
-/// proven Constant — derivative identically zero over the box, so moving p
-/// provably cannot help — yields 0 with **no** fallback; only an *unproven*
-/// sign (Unknown) falls back to the DDDL-declared direction.  Earlier code
-/// conflated Constant with Unknown and let declared directions override a
-/// proof of ineffectiveness.
-///
-/// This is the tree-walking reference implementation (one `evaluate` plus
-/// one `monotonicity` walk per call); the miner's fast engine computes the
-/// same answer from one compiled AD sweep per constraint.
-int helpDirection(Network& net, Constraint& c, PropertyId p,
-                  const std::vector<interval::Interval>& box);
-
-/// Which machinery the miner uses to derive help directions.  Both engines
-/// produce bit-identical GuidanceReports and charge identical evaluation
-/// counts; the reference engine is retained purely as the baseline for the
-/// differential tests (keeping the optimized path provably equivalent to
-/// the naive one, after Mieścicki et al.'s verification methodology).
-enum class MinerEngine : std::uint8_t {
-  /// One fused value+derivative sweep per constraint per mine
-  /// (`CompiledExpr::derivatives`), cached across mines on the network's box
-  /// generation counter: Θ(nc) expression sweeps per mine, Θ(0) when the box
-  /// is unchanged.
-  Fast,
-  /// One `evaluate` plus one symbolic `monotonicity` tree walk per
-  /// (property, constraint) incidence: Θ(Σβᵢ) sweeps per mine.
-  Reference,
-};
-
 class HeuristicMiner {
  public:
   struct Options {
@@ -103,21 +69,28 @@ class HeuristicMiner {
     /// designer uses when rebinding.  Costs extra evaluations, which is part
     /// of ADPM's computational-penalty story.
     bool whatIfForViolated = true;
-    Propagator::Options propagation;
-    MinerEngine engine = MinerEngine::Fast;
   };
 
   HeuristicMiner() = default;
-  explicit HeuristicMiner(Options options)
-      : options_(options), propagator_(options.propagation) {}
+  explicit HeuristicMiner(Options options) : options_(options) {}
 
   /// Consolidates one propagation result into per-property guidance.
+  ///
+  /// Help directions (the monotone lists and repair votes) come from one
+  /// fused value+derivative sweep per constraint
+  /// (`CompiledExpr::derivatives`), cached on the constraint and keyed on
+  /// the network's box generation: Θ(nc) expression sweeps per mine, Θ(0)
+  /// when the box is unchanged.  Derived-direction precedence: a *proven*
+  /// sign (Increasing/Decreasing) wins; a proven Constant — derivative
+  /// identically zero over the box, so moving the property provably cannot
+  /// help — yields no direction and **no** fallback; only an *unproven*
+  /// sign (Unknown) falls back to the DDDL-declared direction.
   GuidanceReport mine(Network& net, const PropagationResult& prop) const;
 
  private:
   Options options_;
-  /// What-if propagator, held (not rebuilt per mine) so its scratch arena
-  /// survives across mines.
+  /// What-if propagator (default options), held (not rebuilt per mine) so
+  /// its scratch arena survives across mines.
   Propagator propagator_;
 };
 

@@ -85,10 +85,6 @@ const Property& Network::property(PropertyId p) const {
   return properties_[p.value];
 }
 
-Property& Network::property(PropertyId p) {
-  return const_cast<Property&>(std::as_const(*this).property(p));
-}
-
 const Constraint& Network::constraint(ConstraintId c) const {
   if (c.value >= constraints_.size()) {
     throw adpm::InvalidArgumentError("unknown constraint id " +
@@ -140,12 +136,14 @@ std::vector<ConstraintId> Network::constraintIds() const {
 }
 
 void Network::bind(PropertyId p, double v) {
-  property(p).value = v;
+  (void)property(p);  // throws on an unknown id
+  properties_[p.value].value = v;
   ++generation_;
 }
 
 void Network::unbind(PropertyId p) {
-  property(p).value.reset();
+  (void)property(p);
+  properties_[p.value].value.reset();
   ++generation_;
 }
 

@@ -68,8 +68,9 @@ class Network {
   std::size_t propertyCount() const noexcept { return properties_.size(); }
   std::size_t constraintCount() const noexcept { return constraints_.size(); }
 
+  /// Read-only: bind/unbind are the only way to change a property, which is
+  /// what keeps `generation()` exact.
   const Property& property(PropertyId p) const;
-  Property& property(PropertyId p);
   const Constraint& constraint(ConstraintId c) const;
   Constraint& constraint(ConstraintId c);
 
@@ -111,11 +112,9 @@ class Network {
 
   /// Box generation: bumped by every mutation routed through this API that
   /// can change `currentBox()` or the active set (add/bind/unbind/activate).
-  /// The miner keys its per-constraint residual/monotonicity caches on this,
+  /// The miner keys its per-constraint residual/direction caches on this,
   /// so repeated mines over an unchanged box (what-if reporting, repeated
-  /// browser refreshes) skip recomputation.  Mutating a Property obtained
-  /// from the non-const `property()` accessor bypasses the counter — bind
-  /// through the network, as all in-tree code does.
+  /// browser refreshes) skip recomputation.
   std::uint64_t generation() const noexcept { return generation_; }
 
  private:

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 
 #ifdef ADPM_DEBUG_CHECKS
 #include <cstdio>
@@ -66,22 +65,15 @@ PropagationResult Propagator::runRelaxed(Network& net, PropertyId p) const {
   return runOnBox(net, std::move(box));
 }
 
+// Every per-revise and per-candidate buffer lives in the reused scratch
+// arena, so steady-state propagation performs no heap allocation beyond the
+// result it returns.  The differential tests hold this path bit-identical,
+// charges included, to the reference propagator in tests/oracle.
 PropagationResult Propagator::runOnBox(
     Network& net, std::vector<interval::Interval> box) const {
 #ifdef ADPM_DEBUG_CHECKS
   const ScratchClaim claim(scratchOwner_.id);
 #endif
-  return options_.referenceMode ? runOnBoxReference(net, std::move(box))
-                                : runOnBoxFast(net, std::move(box));
-}
-
-// The production hot path: identical algorithm and revise order to the
-// reference below, but every per-revise and per-candidate buffer lives in
-// the reused scratch arena, so steady-state propagation performs no heap
-// allocation beyond the result it returns.  The differential tests hold the
-// two paths to bit-identical results and charges.
-PropagationResult Propagator::runOnBoxFast(
-    Network& net, std::vector<interval::Interval> box) const {
   const std::size_t nc = net.constraintCount();
   PropagationResult result;
   result.status.assign(nc, Status::Consistent);
@@ -197,131 +189,6 @@ PropagationResult Propagator::runOnBoxFast(
         if (ok) supported.push_back(v);
       }
       s.probe[i] = result.hulls[i];
-      result.feasible[i] = interval::Domain::discrete(std::move(supported));
-    }
-  }
-  for (std::uint32_t i = 0; i < nc; ++i) {
-    if (result.status[i] == Status::Violated) {
-      result.violated.push_back(ConstraintId{i});
-    }
-  }
-  return result;
-}
-
-// The pre-optimization implementation, kept verbatim as the differential
-// baseline (Options::referenceMode).  Any edit to the fast path above must
-// keep the differential tests against this path green.
-PropagationResult Propagator::runOnBoxReference(
-    Network& net, std::vector<interval::Interval> box) const {
-  const std::size_t nc = net.constraintCount();
-  PropagationResult result;
-  result.status.assign(nc, Status::Consistent);
-
-  std::deque<ConstraintId> queue;
-  std::vector<bool> queued(nc, false);
-  for (std::uint32_t i = 0; i < nc; ++i) {
-    if (!net.isActive(ConstraintId{i})) continue;  // not generated yet
-    queue.push_back(ConstraintId{i});
-    queued[i] = true;
-  }
-
-  const std::size_t maxRevises =
-      std::max<std::size_t>(nc * options_.maxRevisesPerConstraint, nc);
-  std::size_t revises = 0;
-  std::size_t sweepBoundary = queue.size();
-  bool sweptOnce = false;
-
-  while (!queue.empty() && revises < maxRevises) {
-    if (sweepBoundary == 0) {
-      ++result.passes;
-      sweepBoundary = queue.size();
-      if (!options_.fixpoint && sweptOnce) break;
-      sweptOnce = true;
-    }
-    --sweepBoundary;
-
-    const ConstraintId cid = queue.front();
-    queue.pop_front();
-    queued[cid.value] = false;
-
-    Constraint& c = net.constraint(cid);
-
-    // Snapshot the arguments to detect significant narrowing.
-    std::vector<interval::Interval> before;
-    before.reserve(c.arguments().size());
-    for (PropertyId arg : c.arguments()) before.push_back(box[arg.value]);
-
-    // Revise against a tolerance-padded target: a first forward sweep sizes
-    // the pad to the residual's magnitude so boundary-exact designs are not
-    // flipped to Violated by rounding.
-    const interval::Interval forward =
-        c.compiled().evaluate({box.data(), box.size()});
-    const interval::Interval target = tolerancedTarget(c.target(), forward);
-    const expr::ReviseResult r =
-        c.compiled().revise(target, {box.data(), box.size()});
-    ++revises;
-
-    if (!r.feasible) {
-      result.status[cid.value] = Status::Violated;
-      continue;  // no narrowing to propagate from a violated constraint
-    }
-    result.status[cid.value] = classify(r.value, target);
-
-    if (!r.narrowed || !options_.fixpoint) continue;
-
-    for (std::size_t i = 0; i < c.arguments().size(); ++i) {
-      const PropertyId arg = c.arguments()[i];
-      if (!movedSignificantly(before[i], box[arg.value], options_.tolerance)) {
-        continue;
-      }
-      for (ConstraintId neighbour : net.constraintsOf(arg)) {
-        if (neighbour == cid || queued[neighbour.value]) continue;
-        if (!net.isActive(neighbour)) continue;
-        queue.push_back(neighbour);
-        queued[neighbour.value] = true;
-      }
-    }
-  }
-  if (result.passes == 0) result.passes = 1;
-
-  result.evaluations = revises;
-  net.chargeEvaluations(revises);
-
-  result.hulls = std::move(box);
-  result.feasible.reserve(net.propertyCount());
-  for (std::uint32_t i = 0; i < net.propertyCount(); ++i) {
-    const Property& p = net.property(PropertyId{i});
-    result.feasible.push_back(p.initial.intersect(result.hulls[i]));
-  }
-
-  // Discrete shaving: drop values of unbound discrete properties that no
-  // consistent constraint supports.
-  if (options_.filterDiscrete) {
-    for (std::uint32_t i = 0; i < net.propertyCount(); ++i) {
-      const Property& p = net.property(PropertyId{i});
-      if (!p.initial.isDiscrete() || p.bound()) continue;
-      if (result.feasible[i].empty()) continue;
-
-      std::vector<double> supported;
-      for (const double v : result.feasible[i].values()) {
-        bool ok = true;
-        for (ConstraintId cid : net.constraintsOf(PropertyId{i})) {
-          if (!net.isActive(cid)) continue;
-          if (result.status[cid.value] == Status::Violated) continue;
-          Constraint& c = net.constraint(cid);
-          auto probe = result.hulls;
-          probe[i] = interval::Interval(v);
-          const interval::Interval residual =
-              c.compiled().evaluate({probe.data(), probe.size()});
-          ++result.evaluations;
-          net.chargeEvaluations(1);
-          if (!residual.intersects(tolerancedTarget(c.target(), residual))) {
-            ok = false;
-            break;
-          }
-        }
-        if (ok) supported.push_back(v);
-      }
       result.feasible[i] = interval::Domain::discrete(std::move(supported));
     }
   }

@@ -64,12 +64,6 @@ class Propagator {
     /// and unsupported values are dropped from the feasible set.  Hull
     /// consistency alone cannot remove interior values of a discrete set.
     bool filterDiscrete = true;
-    /// Run the pre-optimization implementation (fresh allocations per
-    /// revise, per-candidate box copies in discrete shaving) instead of the
-    /// zero-allocation path.  Results are identical; the naive path is
-    /// retained solely as the baseline the differential tests compare the
-    /// optimized hot path against.
-    bool referenceMode = false;
   };
 
   Propagator() = default;
@@ -90,10 +84,6 @@ class Propagator {
  private:
   PropagationResult runOnBox(Network& net,
                              std::vector<interval::Interval> box) const;
-  PropagationResult runOnBoxFast(Network& net,
-                                 std::vector<interval::Interval> box) const;
-  PropagationResult runOnBoxReference(
-      Network& net, std::vector<interval::Interval> box) const;
 
   Options options_;
 

@@ -80,9 +80,9 @@ class CompiledExpr {
   /// respect to every distinct variable at once.  The per-variable
   /// derivative enclosures are bit-identical to `expr::evalDerivative`
   /// (same formulas, same operation order) — the miner's differential
-  /// tests rely on this.  Counts as a single expression sweep where the
-  /// tree-walking path costs one `evaluate` plus one `monotonicity` walk
-  /// per (variable, expression) pair.
+  /// tests rely on this.  Counts as a single expression sweep where a
+  /// tree walk costs one `evaluate` plus one `evalDerivative` walk per
+  /// (variable, expression) pair.
   DerivativeSweep derivatives(std::span<const interval::Interval> domains);
 
   /// Full HC4-revise: narrows `domains` in place to values compatible with

@@ -1,6 +1,5 @@
 #include "expr/derivative.hpp"
 
-#include "expr/sweep.hpp"
 #include "util/error.hpp"
 
 namespace adpm::expr {
@@ -122,13 +121,6 @@ ValueDerivative evalDerivative(const Expr& e, std::span<const Interval> domains,
     }
   }
   throw adpm::InvalidArgumentError("evalDerivative: bad node kind");
-}
-
-Direction monotonicity(const Expr& e, std::span<const Interval> domains,
-                       VarId var) {
-  if (!mentions(e, var)) return Direction::None;
-  countSweep();  // one recursive value+derivative walk for one variable
-  return directionOf(evalDerivative(e, domains, var).derivative);
 }
 
 Direction directionOf(const interval::Interval& derivative) noexcept {

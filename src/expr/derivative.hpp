@@ -5,8 +5,9 @@
 // decreasing in a_i"; DDDL lets scenario authors declare monotonicity
 // explicitly.  This module also *derives* monotonicity automatically: the
 // sign of the interval enclosure of ∂e/∂x over the current box proves
-// monotone behaviour on that box.  Declared directions (from DDDL) can then
-// be validated against derived ones in tests.
+// monotone behaviour on that box (`directionOf`).  The miner reads every
+// partial from one CompiledExpr::derivatives sweep, whose enclosures are
+// bit-identical to `evalDerivative`'s tree walk.
 #pragma once
 
 #include <span>
@@ -38,15 +39,10 @@ ValueDerivative evalDerivative(const Expr& e,
                                std::span<const interval::Interval> domains,
                                VarId var);
 
-/// Proven direction of e with respect to `var` over the box.
-Direction monotonicity(const Expr& e,
-                       std::span<const interval::Interval> domains, VarId var);
-
 /// Classifies a derivative enclosure into a Direction: identically-zero ⇒
-/// Constant, provably signed ⇒ Increasing/Decreasing, else Unknown.  This is
-/// `monotonicity`'s classification step, shared with the compiled AD sweep
-/// so both paths agree by construction (it cannot distinguish None — callers
-/// that need None must check `mentions` themselves, as `monotonicity` does).
+/// Constant, provably signed ⇒ Increasing/Decreasing, else Unknown.  It
+/// cannot distinguish None — callers that need None must check `mentions`
+/// themselves.
 Direction directionOf(const interval::Interval& derivative) noexcept;
 
 }  // namespace adpm::expr

@@ -1,20 +1,15 @@
-// Forward evaluation of expressions over points and interval boxes.
+// Point evaluation of expressions.  Interval evaluation goes through
+// CompiledExpr::evaluate (expr/compiled.hpp).
 #pragma once
 
 #include <span>
 
 #include "expr/expr.hpp"
-#include "interval/interval.hpp"
 
 namespace adpm::expr {
 
 /// Evaluates at a point; `values[v]` supplies variable v.  Variables outside
 /// the span of `values` are an error.
 double evalPoint(const Expr& e, std::span<const double> values);
-
-/// Evaluates over an interval box; `domains[v]` supplies variable v's range.
-/// The result encloses {e(x) : x in box} (interval extension).
-interval::Interval evalInterval(const Expr& e,
-                                std::span<const interval::Interval> domains);
 
 }  // namespace adpm::expr

@@ -1,12 +1,13 @@
 // Expression-sweep accounting.
 //
 // A "sweep" is one pass over an expression — a forward interval evaluation,
-// an HC4 revise (forward + backward projection, counted once), a recursive
-// monotonicity tree walk, or one fused value+derivative pass of
-// CompiledExpr::derivatives.  A propagation revise is one sweep: the
-// propagator calls CompiledExpr::revisePadded, which sizes the target's
-// tolerance pad from its own forward pass (the reference propagator still
-// evaluates first and so counts two).  The counter exists to make the miner's
+// an HC4 revise (forward + backward projection, counted once), or one fused
+// value+derivative pass of CompiledExpr::derivatives (the tree-walking
+// reference implementations in tests/oracle count theirs too).  A
+// propagation revise is one sweep: the propagator calls
+// CompiledExpr::revisePadded, which sizes the target's tolerance pad from
+// its own forward pass (the reference propagator evaluates first and so
+// counts two).  The counter exists to make the miner's
 // Θ(Σβᵢ) → Θ(nc) sweep reduction observable in benchmarks and tests; it is
 // *not* the paper's cost metric — that is the network's charged evaluation
 // counter (`Network::evaluationCount`), which the optimizations leave

@@ -16,12 +16,19 @@ using constraint::Status;
 
 namespace {
 
+/// A defining equality model of a property p: constraint `model` reads
+/// `p == *other` (either side), where `other` does not mention p.
+struct DefiningModel {
+  ConstraintId model;
+  const expr::Expr* other;
+};
+
 /// Defining equality models: constraints of the form `p == f(...)` (or the
 /// mirror) where f does not mention p.  A property with such a model is
 /// *derived* — a tool computes it; the designer cannot choose it freely.
-std::vector<constraint::ConstraintId> definingModels(
-    const constraint::Network& net, PropertyId p) {
-  std::vector<constraint::ConstraintId> out;
+std::vector<DefiningModel> definingModels(const constraint::Network& net,
+                                          PropertyId p) {
+  std::vector<DefiningModel> out;
   for (constraint::ConstraintId cid : net.constraintsOf(p)) {
     if (!net.isActive(cid)) continue;  // not generated yet
     const constraint::Constraint& c = net.constraint(cid);
@@ -33,9 +40,26 @@ std::vector<constraint::ConstraintId> definingModels(
                c.rhs().node().var == p.value) {
       other = &c.lhs();
     }
-    if (other != nullptr && !expr::mentions(*other, p.value)) out.push_back(cid);
+    if (other != nullptr && !expr::mentions(*other, p.value)) {
+      out.push_back({cid, other});
+    }
   }
   return out;
+}
+
+/// The value a model's `other` side computes from the current bindings:
+/// nullopt unless every input is bound and the result is finite.
+std::optional<double> modelValue(const constraint::Network& net,
+                                 const expr::Expr& other) {
+  std::vector<double> values(net.propertyCount(), 0.0);
+  for (expr::VarId v : expr::variablesOf(other)) {
+    const constraint::Property& ap = net.property(PropertyId{v});
+    if (!ap.bound()) return std::nullopt;
+    values[v] = *ap.value;
+  }
+  const double computed = expr::evalPoint(other, values);
+  if (!std::isfinite(computed)) return std::nullopt;
+  return computed;
 }
 
 /// "Read the value off the tool": when a violated model pins property p as
@@ -45,39 +69,9 @@ std::vector<constraint::ConstraintId> definingModels(
 std::optional<double> solveFromEqualityModel(
     const dpm::DesignProcessManager& dpm, PropertyId p) {
   const constraint::Network& net = dpm.network();
-  for (constraint::ConstraintId cid : net.constraintsOf(p)) {
-    if (!net.isActive(cid)) continue;
-    if (dpm.knownStatuses()[cid.value] != Status::Violated) continue;
-    const constraint::Constraint& c = net.constraint(cid);
-    if (c.relation() != Relation::Eq) continue;
-
-    // Identify which side is exactly `p`.
-    const expr::Expr* solvedSide = nullptr;
-    const expr::Expr* otherSide = nullptr;
-    if (c.lhs().kind() == expr::OpKind::Var && c.lhs().node().var == p.value) {
-      solvedSide = &c.lhs();
-      otherSide = &c.rhs();
-    } else if (c.rhs().kind() == expr::OpKind::Var &&
-               c.rhs().node().var == p.value) {
-      solvedSide = &c.rhs();
-      otherSide = &c.lhs();
-    }
-    if (solvedSide == nullptr) continue;
-    if (expr::mentions(*otherSide, p.value)) continue;
-
-    std::vector<double> values(net.propertyCount(), 0.0);
-    bool allBound = true;
-    for (expr::VarId v : expr::variablesOf(*otherSide)) {
-      const constraint::Property& ap = net.property(PropertyId{v});
-      if (!ap.bound()) {
-        allBound = false;
-        break;
-      }
-      values[v] = *ap.value;
-    }
-    if (!allBound) continue;
-    const double solved = expr::evalPoint(*otherSide, values);
-    if (std::isfinite(solved)) return solved;
+  for (const DefiningModel& m : definingModels(net, p)) {
+    if (dpm.knownStatuses()[m.model.value] != Status::Violated) continue;
+    if (const auto solved = modelValue(net, *m.other)) return solved;
   }
   return std::nullopt;
 }
@@ -92,20 +86,14 @@ double resolvedValue(const constraint::Network& net, PropertyId pid,
                      ConstraintId excluded, int depth) {
   if (pid == b) return x;
   if (depth > 0) {
-    for (ConstraintId mid : definingModels(net, pid)) {
-      if (mid == excluded) continue;
-      const constraint::Constraint& m = net.constraint(mid);
-      const expr::Expr& other =
-          (m.lhs().kind() == expr::OpKind::Var &&
-           m.lhs().node().var == pid.value)
-              ? m.rhs()
-              : m.lhs();
+    for (const DefiningModel& m : definingModels(net, pid)) {
+      if (m.model == excluded) continue;
       std::vector<double> values(net.propertyCount(), 0.0);
-      for (expr::VarId v : expr::variablesOf(other)) {
+      for (expr::VarId v : expr::variablesOf(*m.other)) {
         values[v] =
             resolvedValue(net, PropertyId{v}, b, x, point, excluded, depth - 1);
       }
-      const double computed = expr::evalPoint(other, values);
+      const double computed = expr::evalPoint(*m.other, values);
       if (std::isfinite(computed)) return computed;
     }
   }
@@ -414,18 +402,12 @@ SimulatedDesigner::repairCandidates(
           int depth) -> double {
     if (x == b) return 1.0;
     if (depth <= 0) return 0.0;
-    for (ConstraintId mid : definingModels(net, x)) {
-      if (mid == excluded) continue;
-      const constraint::Constraint& m = net.constraint(mid);
-      const expr::Expr& other =
-          (m.lhs().kind() == expr::OpKind::Var &&
-           m.lhs().node().var == x.value)
-              ? m.rhs()
-              : m.lhs();
+    for (const DefiningModel& m : definingModels(net, x)) {
+      if (m.model == excluded) continue;
       double total = 0.0;
-      for (expr::VarId v : expr::variablesOf(other)) {
+      for (expr::VarId v : expr::variablesOf(*m.other)) {
         const double partial =
-            expr::evalDerivative(other, pointBox, v).derivative.mid();
+            expr::evalDerivative(*m.other, pointBox, v).derivative.mid();
         if (partial == 0.0 || !std::isfinite(partial)) continue;
         const double inner = dxdb(PropertyId{v}, b, excluded, depth - 1);
         if (inner != 0.0) total += partial * inner;
@@ -471,9 +453,9 @@ SimulatedDesigner::repairCandidates(
   std::function<bool(PropertyId, int)> chainFresh =
       [&](PropertyId a, int depth) -> bool {
     if (depth <= 0) return true;
-    for (ConstraintId mid : definingModels(net, a)) {
-      if (dpm.isStale(mid)) return false;
-      for (PropertyId v : net.constraint(mid).arguments()) {
+    for (const DefiningModel& m : definingModels(net, a)) {
+      if (dpm.isStale(m.model)) return false;
+      for (PropertyId v : net.constraint(m.model).arguments()) {
         if (!(v == a) && !chainFresh(v, depth - 1)) return false;
       }
     }
@@ -540,8 +522,8 @@ SimulatedDesigner::repairCandidates(
     const auto models = definingModels(dpm.network(), pid);
     if (!models.empty()) {
       const bool anyModelViolated = std::any_of(
-          models.begin(), models.end(), [&](constraint::ConstraintId mid) {
-            return dpm.knownStatuses()[mid.value] == Status::Violated;
+          models.begin(), models.end(), [&](const DefiningModel& m) {
+            return dpm.knownStatuses()[m.model.value] == Status::Violated;
           });
       if (!anyModelViolated) continue;
     }
@@ -822,27 +804,10 @@ double SimulatedDesigner::chooseBindingValue(dpm::DesignProcessManager& dpm,
   // A derived property whose model inputs are all bound is read off the
   // tool exactly; picking a near-by value from the tolerance-widened window
   // would only manufacture a phantom model violation.
-  for (constraint::ConstraintId mid : definingModels(dpm.network(), pid)) {
-    const constraint::Constraint& m = dpm.network().constraint(mid);
-    const expr::Expr& other =
-        (m.lhs().kind() == expr::OpKind::Var && m.lhs().node().var == pid.value)
-            ? m.rhs()
-            : m.lhs();
-    std::vector<double> values(dpm.network().propertyCount(), 0.0);
-    bool allBound = true;
-    for (expr::VarId v : expr::variablesOf(other)) {
-      const constraint::Property& ap = dpm.network().property(PropertyId{v});
-      if (!ap.bound()) {
-        allBound = false;
-        break;
-      }
-      values[v] = *ap.value;
-    }
-    if (!allBound) continue;
-    const double computed = expr::evalPoint(other, values);
-    if (std::isfinite(computed)) {
-      return prop.initial.isDiscrete() ? prop.initial.nearest(computed)
-                                       : prop.initial.hull().clamp(computed);
+  for (const DefiningModel& m : definingModels(dpm.network(), pid)) {
+    if (const auto computed = modelValue(dpm.network(), *m.other)) {
+      return prop.initial.isDiscrete() ? prop.initial.nearest(*computed)
+                                       : prop.initial.hull().clamp(*computed);
     }
   }
 

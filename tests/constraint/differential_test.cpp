@@ -1,10 +1,13 @@
-// Differential equivalence: optimized hot path vs. retained naive reference.
+// Differential equivalence: the shipped hot path vs. the reference oracles.
 //
 // "Verification of Concurrent Engineering Software Using CSM Models"
 // (Mieścicki et al.) motivates keeping an optimized implementation provably
 // equivalent to the specification-level one.  Here the specification is the
-// pre-optimization code, retained verbatim as Propagator's referenceMode and
-// the miner's Reference engine; these tests hold the zero-allocation
+// pre-optimization code, kept in tests/oracle: the reference propagator
+// (per-revise allocations, two sweeps per revise) and the reference miner
+// (tree-walk help directions, its own precedence rules, the reference
+// propagator for what-ifs).  The oracles share no propagation or mining
+// code with the shipped library.  These tests hold the zero-allocation
 // propagator and the compiled-AD miner to *bit-identical* results — same
 // PropagationResult, same GuidanceReport, and, the paper's reproduced cost
 // metric, the same charged evaluation counts — across all four scenarios
@@ -18,6 +21,8 @@
 #include "dpm/manager.hpp"
 #include "dpm/scenario.hpp"
 #include "gen/registry.hpp"
+#include "oracle/miner.hpp"
+#include "oracle/propagate.hpp"
 #include "teamsim/client.hpp"
 #include "teamsim/options.hpp"
 
@@ -88,19 +93,16 @@ struct Pair {
     refNet().bind(PropertyId{static_cast<std::uint32_t>(propertyIndex)}, v);
   }
 
-  /// Runs propagation + mining through both paths on the current state and
-  /// asserts identical results and identical charged evaluations.  Mines
-  /// twice on the fast side so the generation-keyed cache (hit on the
-  /// second mine) is held to the same equivalence.
+  /// Runs propagation + mining through the shipped code and the oracles on
+  /// the current state and asserts identical results and identical charged
+  /// evaluations.  Mines twice so the shipped miner's generation-keyed
+  /// cache (hit on the second mine) is held to the same equivalence.
   void check(const std::string& label) {
     SCOPED_TRACE(label);
     Propagator fastProp;
-    Propagator refProp{Propagator::Options{.referenceMode = true}};
-    HeuristicMiner fastMiner{
-        HeuristicMiner::Options{.engine = MinerEngine::Fast}};
-    HeuristicMiner refMiner{HeuristicMiner::Options{
-        .propagation = {.referenceMode = true},
-        .engine = MinerEngine::Reference}};
+    oracle::ReferencePropagator refProp;
+    HeuristicMiner fastMiner;
+    oracle::ReferenceMiner refMiner;
 
     fastNet().resetEvaluationCount();
     refNet().resetEvaluationCount();
@@ -116,8 +118,8 @@ struct Pair {
     EXPECT_EQ(fastNet().evaluationCount(), refNet().evaluationCount())
         << "charged evaluations diverged during mining";
 
-    // Second mine over the unchanged box: the fast engine answers from its
-    // cache; the report and the charges must not change shape.
+    // Second mine over the unchanged box: the shipped miner answers from
+    // its cache; the report and the charges must not change shape.
     const std::size_t chargedBefore = fastNet().evaluationCount();
     const std::size_t refChargedBefore = refNet().evaluationCount();
     const GuidanceReport gf2 = fastMiner.mine(fastNet(), pf);
@@ -230,8 +232,8 @@ TEST(Differential, SinglePassAndNoShavingModes) {
     Pair pair(spec);
     Propagator fastProp{
         Propagator::Options{.fixpoint = false, .filterDiscrete = false}};
-    Propagator refProp{Propagator::Options{
-        .fixpoint = false, .filterDiscrete = false, .referenceMode = true}};
+    oracle::ReferencePropagator refProp{
+        Propagator::Options{.fixpoint = false, .filterDiscrete = false}};
     pair.fastNet().resetEvaluationCount();
     pair.refNet().resetEvaluationCount();
     const PropagationResult pf = fastProp.run(pair.fastNet());

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "oracle/expr.hpp"
+#include "oracle/miner.hpp"
+
 namespace adpm::constraint {
 namespace {
 
@@ -132,7 +135,7 @@ TEST(HeuristicMiner, WhatIfRecoversRangeForBoundViolatedProperty) {
   EXPECT_GT(g.extraEvaluations, 0u);
 
   HeuristicMiner without{
-      HeuristicMiner::Options{.whatIfForViolated = false, .propagation = {}}};
+      HeuristicMiner::Options{.whatIfForViolated = false}};
   const auto g2 = without.mine(f.net, r);
   EXPECT_EQ(g2.extraEvaluations, 0u);
 }
@@ -155,6 +158,28 @@ TEST(HeuristicMiner, RelativeFeasibleSizeRanksDifficulty) {
   EXPECT_LT(g.of(l).relativeFeasibleSize, g.of(w).relativeFeasibleSize);
 }
 
+/// The shipped miner's guidance over the network's current state.
+GuidanceReport mineShipped(Network& net) {
+  Propagator prop;
+  return HeuristicMiner{}.mine(net, prop.run(net));
+}
+
+/// Asserts the shipped miner's record for a property that touches only `c`:
+/// `c` is in the increasing list for dir > 0, the decreasing list for
+/// dir < 0, neither for 0, and it is a repair vote that way iff violated.
+void expectMinedDirection(const PropertyGuidance& g, ConstraintId c, int dir,
+                          bool violated) {
+  const std::vector<ConstraintId> only{c};
+  const std::vector<ConstraintId> none;
+  EXPECT_EQ(g.increasing, dir > 0 ? only : none);
+  EXPECT_EQ(g.decreasing, dir < 0 ? only : none);
+  EXPECT_EQ(g.repairVotesUp, violated && dir > 0 ? 1 : 0);
+  EXPECT_EQ(g.repairVotesDown, violated && dir < 0 ? 1 : 0);
+}
+
+// The HelpDirection tests pin the precedence rules twice: on the oracle's
+// tree-walk helpDirection and on what the shipped miner reports.
+
 TEST(HelpDirection, EqualityUsesViolationSide) {
   Network net;
   const auto x = net.addProperty({"x", "o", Domain::continuous(0, 10), "", {}});
@@ -166,8 +191,12 @@ TEST(HelpDirection, EqualityUsesViolationSide) {
   net.bind(y, 1.0);
   const auto box = net.currentBox();
   // Residual must rise: increasing y helps (+1), increasing x hurts (-1).
-  EXPECT_EQ(helpDirection(net, net.constraint(cid), y, box), 1);
-  EXPECT_EQ(helpDirection(net, net.constraint(cid), x, box), -1);
+  EXPECT_EQ(oracle::helpDirection(net.constraint(cid), y, box), 1);
+  EXPECT_EQ(oracle::helpDirection(net.constraint(cid), x, box), -1);
+  const GuidanceReport g = mineShipped(net);
+  ASSERT_EQ(g.violated, std::vector<ConstraintId>{cid});
+  expectMinedDirection(g.of(y), cid, 1, true);
+  expectMinedDirection(g.of(x), cid, -1, true);
 }
 
 TEST(HelpDirection, FallsBackToDeclared) {
@@ -177,9 +206,32 @@ TEST(HelpDirection, FallsBackToDeclared) {
   const auto cid = net.addConstraint("sq", expr::sqr(net.var(x)), Relation::Le,
                                      expr::Expr::constant(4.0));
   const auto box = net.currentBox();
-  EXPECT_EQ(helpDirection(net, net.constraint(cid), x, box), 0);
+  EXPECT_EQ(oracle::helpDirection(net.constraint(cid), x, box), 0);
+  expectMinedDirection(mineShipped(net).of(x), cid, 0, false);
   net.constraint(cid).declareHelpDirection(x, false);
-  EXPECT_EQ(helpDirection(net, net.constraint(cid), x, box), -1);
+  EXPECT_EQ(oracle::helpDirection(net.constraint(cid), x, box), -1);
+  expectMinedDirection(mineShipped(net).of(x), cid, -1, false);
+
+  // Violated: residual x^2 + y - 4 with y pinned at 10 is above its target
+  // whatever x is, and x's slope is still unprovable, so the declaration
+  // (here "increase helps") decides the direction and the repair vote.
+  Network net2;
+  const auto x2 =
+      net2.addProperty({"x", "o", Domain::continuous(-5, 5), "", {}});
+  const auto y2 =
+      net2.addProperty({"y", "o", Domain::continuous(0, 10), "", {}});
+  const auto cid2 = net2.addConstraint(
+      "sq+y", expr::sqr(net2.var(x2)) + net2.var(y2), Relation::Le,
+      expr::Expr::constant(4.0));
+  net2.constraint(cid2).declareHelpDirection(x2, true);
+  net2.bind(y2, 10.0);
+  const auto box2 = net2.currentBox();
+  EXPECT_EQ(oracle::helpDirection(net2.constraint(cid2), x2, box2), 1);
+  EXPECT_EQ(oracle::helpDirection(net2.constraint(cid2), y2, box2), -1);
+  const GuidanceReport g2 = mineShipped(net2);
+  ASSERT_EQ(g2.violated, std::vector<ConstraintId>{cid2});
+  expectMinedDirection(g2.of(x2), cid2, 1, true);
+  expectMinedDirection(g2.of(y2), cid2, -1, true);
 }
 
 TEST(HelpDirection, ProvenConstantBeatsDeclaredDirection) {
@@ -197,10 +249,11 @@ TEST(HelpDirection, ProvenConstantBeatsDeclaredDirection) {
   net.constraint(cid).declareHelpDirection(x, false);
   net.bind(y, 0.0);
   const auto box = net.currentBox();
-  EXPECT_EQ(expr::monotonicity(net.constraint(cid).residual(), box, x.value),
+  EXPECT_EQ(oracle::monotonicity(net.constraint(cid).residual(), box, x.value),
             expr::Direction::Constant);
   // Despite the declared "decrease helps", the proven Constant wins.
-  EXPECT_EQ(helpDirection(net, net.constraint(cid), x, box), 0);
+  EXPECT_EQ(oracle::helpDirection(net.constraint(cid), x, box), 0);
+  expectMinedDirection(mineShipped(net).of(x), cid, 0, false);
 
   // Unpinned, the derivative sign is provable again (y ∈ [0,10] ⇒
   // increasing residual, and Le wants it lower ⇒ decrease x helps): the
@@ -208,7 +261,31 @@ TEST(HelpDirection, ProvenConstantBeatsDeclaredDirection) {
   // Unknown → declared fallback is covered by FallsBackToDeclared above.
   net.unbind(y);
   const auto box2 = net.currentBox();
-  EXPECT_EQ(helpDirection(net, net.constraint(cid), x, box2), -1);
+  EXPECT_EQ(oracle::helpDirection(net.constraint(cid), x, box2), -1);
+  expectMinedDirection(mineShipped(net).of(x), cid, -1, false);
+
+  // Violated: x*y + z - 4 <= 0 with y = 0 and z = 10 is violated whatever
+  // x is.  The proven Constant casts no repair vote for x either.
+  Network net2;
+  const auto x2 =
+      net2.addProperty({"x", "o", Domain::continuous(0, 10), "", {}});
+  const auto y2 =
+      net2.addProperty({"y", "o", Domain::continuous(0, 10), "", {}});
+  const auto z2 =
+      net2.addProperty({"z", "o", Domain::continuous(0, 10), "", {}});
+  const auto cid2 = net2.addConstraint(
+      "xy+z", net2.var(x2) * net2.var(y2) + net2.var(z2), Relation::Le,
+      expr::Expr::constant(4.0));
+  net2.constraint(cid2).declareHelpDirection(x2, false);
+  net2.bind(y2, 0.0);
+  net2.bind(z2, 10.0);
+  EXPECT_EQ(oracle::helpDirection(net2.constraint(cid2), x2,
+                                  net2.currentBox()),
+            0);
+  const GuidanceReport g2 = mineShipped(net2);
+  ASSERT_EQ(g2.violated, std::vector<ConstraintId>{cid2});
+  expectMinedDirection(g2.of(x2), cid2, 0, true);
+  expectMinedDirection(g2.of(z2), cid2, -1, true);
 }
 
 TEST(HeuristicMiner, FastEngineMatchesReferenceOnFixture) {
@@ -217,9 +294,8 @@ TEST(HeuristicMiner, FastEngineMatchesReferenceOnFixture) {
   f.net.bind(f.l, 0.2);
   Propagator prop;
   const auto r = prop.run(f.net);
-  HeuristicMiner fast{HeuristicMiner::Options{.engine = MinerEngine::Fast}};
-  HeuristicMiner ref{
-      HeuristicMiner::Options{.engine = MinerEngine::Reference}};
+  HeuristicMiner fast;
+  oracle::ReferenceMiner ref;
   const auto gf = fast.mine(f.net, r);
   const auto gr = ref.mine(f.net, r);
   ASSERT_EQ(gf.properties.size(), gr.properties.size());
@@ -234,7 +310,7 @@ TEST(HeuristicMiner, FastEngineMatchesReferenceOnFixture) {
     EXPECT_EQ(gf.properties[i].feasible, gr.properties[i].feasible);
   }
 
-  // A rebind moves the box generation, so the fast engine's cache must
+  // A rebind moves the box generation, so the shipped miner's cache must
   // refresh rather than serve stale directions.
   f.net.bind(f.w, 7.5);
   const auto r2 = prop.run(f.net);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+#include <utility>
+
 #include "util/error.hpp"
 
 namespace adpm::constraint {
@@ -10,6 +13,13 @@ namespace {
 using expr::Expr;
 using interval::Domain;
 using interval::Interval;
+
+// bind/unbind are the only writers of a property, so every box change bumps
+// Network::generation(), which the miner's mining cache is keyed on.  No
+// mutable accessor may hand out a writable Property.
+static_assert(
+    std::is_same_v<decltype(std::declval<Network&>().property(PropertyId{})),
+                   const Property&>);
 
 Network makeReceiverToy() {
   // A miniature version of the paper's Section 2 receiver example:

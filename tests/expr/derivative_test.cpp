@@ -8,12 +8,15 @@
 #include "expr/compiled.hpp"
 #include "expr/eval.hpp"
 #include "expr/sweep.hpp"
+#include "oracle/expr.hpp"
 #include "util/rng.hpp"
 
 namespace adpm::expr {
 namespace {
 
 using interval::Interval;
+using oracle::evalInterval;
+using oracle::monotonicity;
 
 TEST(Monotonicity, LinearTerms) {
   const Expr x = Expr::variable(0);

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <vector>
 
+#include "oracle/expr.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -12,6 +13,7 @@ namespace adpm::expr {
 namespace {
 
 using interval::Interval;
+using oracle::evalInterval;
 
 TEST(EvalPoint, AllOperators) {
   const Expr x = Expr::variable(0);

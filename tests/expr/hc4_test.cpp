@@ -13,12 +13,14 @@
 #include "dpm/scenario.hpp"
 #include "expr/eval.hpp"
 #include "gen/registry.hpp"
+#include "oracle/expr.hpp"
 #include "util/rng.hpp"
 
 namespace adpm::expr {
 namespace {
 
 using interval::Interval;
+using oracle::evalInterval;
 
 TEST(CompiledExpr, EvaluateMatchesEvalInterval) {
   const Expr x = Expr::variable(0);

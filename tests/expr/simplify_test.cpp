@@ -5,12 +5,14 @@
 #include <cmath>
 
 #include "expr/eval.hpp"
+#include "oracle/expr.hpp"
 #include "util/rng.hpp"
 
 namespace adpm::expr {
 namespace {
 
 using interval::Interval;
+using oracle::evalInterval;
 
 std::size_t nodeCount(const Expr& e) {
   std::size_t n = 1;
