@@ -5,7 +5,10 @@
 #   scripts/bench_json.sh [build-dir] [benchmark-filter]
 #
 # Writes BENCH_propagation.json and BENCH_service.json in the repository
-# root.  The interesting counters:
+# root.  A filtered run is a partial picture, so it writes those files under
+# the build directory instead and never touches the committed ones; a suite
+# in which the filter matches no benchmark is skipped.  The interesting
+# counters:
 #   * BM_MineGuidance .../mode:1 — expression sweeps per mine
 #     (sweeps_per_mine) and wall time of the compiled-AD miner with a cold
 #     cache (Θ(nc) sweeps);
@@ -80,6 +83,11 @@ if [ "${#untrusted_reasons[@]}" -gt 0 ]; then
   echo "ADPM_BENCH_ALLOW_DEBUG=1: running anyway, tagging outputs *${suffix}" >&2
 fi
 
+outdir="$repo"
+if [ -n "$filter" ]; then
+  outdir="$build"
+fi
+
 run_suite() {
   local bench="$1" out="$2"
   if [ ! -x "$bench" ]; then
@@ -89,6 +97,10 @@ run_suite() {
   local args=(--benchmark_format=json --benchmark_out="$out"
               --benchmark_out_format=json)
   if [ -n "$filter" ]; then
+    if [ -z "$("$bench" --benchmark_list_tests "--benchmark_filter=$filter" 2>/dev/null)" ]; then
+      echo "skipping $(basename "$bench"): filter '$filter' matches no benchmark"
+      return 0
+    fi
     args+=("--benchmark_filter=$filter")
   fi
   "$bench" "${args[@]}"
@@ -105,5 +117,5 @@ run_suite() {
   echo "wrote $out"
 }
 
-run_suite "$build/bench/bench_propagation" "$repo/BENCH_propagation${suffix}"
-run_suite "$build/bench/bench_service" "$repo/BENCH_service${suffix}"
+run_suite "$build/bench/bench_propagation" "$outdir/BENCH_propagation${suffix}"
+run_suite "$build/bench/bench_service" "$outdir/BENCH_service${suffix}"

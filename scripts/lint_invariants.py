@@ -48,9 +48,11 @@ Rules (each scoped to src/ unless noted):
                  across compilers and targets.
   test-oracle    The reference implementations live in tests/oracle, not in
                  the shipped library: src/ names none of referenceMode,
-                 runOnBoxReference, MinerEngine, helpDirection, evalInterval
-                 or monotonicity (whole words), and no CMakeLists.txt
-                 outside tests/ names the oracle target, adpm_oracle.
+                 runOnBoxReference, MinerEngine, helpDirection, evalInterval,
+                 monotonicity, evalDerivative or ValueDerivative (whole
+                 words), and no CMakeLists.txt outside tests/ names the
+                 oracle target, adpm_oracle.  Partials in src/ come from
+                 CompiledExpr::derivatives only.
 
 Matching happens on comment- and string-stripped source (except the
 failpoint scan, which reads names out of string literals), so prose
@@ -168,7 +170,7 @@ FP_PIN_FILE = SRC / "CMakeLists.txt"
 # the oracle library's CMake target.
 TEST_ORACLE_RE = re.compile(
     r"\b(?:referenceMode|runOnBoxReference|MinerEngine|helpDirection|"
-    r"evalInterval|monotonicity)\b"
+    r"evalInterval|monotonicity|evalDerivative|ValueDerivative)\b"
 )
 ORACLE_TARGET_RE = re.compile(r"\badpm_oracle\b")
 TESTS = REPO / "tests"

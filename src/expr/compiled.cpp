@@ -94,7 +94,7 @@ DerivativeSweep CompiledExpr::derivatives(std::span<const Interval> domains) {
     const auto y = [&]() -> const Interval& {
       return fwd_[static_cast<std::size_t>(n.child1)];
     };
-    // Each case mirrors expr::evalDerivative's formula and operation order
+    // Each case mirrors oracle::evalDerivative's formula and operation order
     // exactly, so the per-variable enclosures are bit-identical to the
     // recursive tree walk (the differential tests assert this).
     switch (n.kind) {

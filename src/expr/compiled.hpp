@@ -78,11 +78,13 @@ class CompiledExpr {
   /// Fused forward-mode AD sweep: one pass over the postorder node array
   /// computes the value enclosure *and* the derivative enclosure with
   /// respect to every distinct variable at once.  The per-variable
-  /// derivative enclosures are bit-identical to `expr::evalDerivative`
-  /// (same formulas, same operation order) — the miner's differential
-  /// tests rely on this.  Counts as a single expression sweep where a
-  /// tree walk costs one `evaluate` plus one `evalDerivative` walk per
-  /// (variable, expression) pair.
+  /// derivative enclosures are bit-identical to the tree walk
+  /// `oracle::evalDerivative` in tests/oracle (same formulas, same
+  /// operation order) — the miner's differential tests rely on this.  The
+  /// miner and the simulated designer take every partial from here.
+  /// Counts as a single expression sweep where a tree walk costs one
+  /// `evaluate` plus one `oracle::evalDerivative` walk per (variable,
+  /// expression) pair.
   DerivativeSweep derivatives(std::span<const interval::Interval> domains);
 
   /// Full HC4-revise: narrows `domains` in place to values compatible with

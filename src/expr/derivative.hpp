@@ -1,18 +1,18 @@
-// Interval-valued forward-mode automatic differentiation and monotonicity.
+// Monotonicity derived from interval derivative enclosures.
 //
 // The paper's simulated designer keeps, per property, "a list of constraints
 // monotonically increasing in a_i and a list of constraints monotonically
 // decreasing in a_i"; DDDL lets scenario authors declare monotonicity
 // explicitly.  This module also *derives* monotonicity automatically: the
 // sign of the interval enclosure of ∂e/∂x over the current box proves
-// monotone behaviour on that box (`directionOf`).  The miner reads every
-// partial from one CompiledExpr::derivatives sweep, whose enclosures are
-// bit-identical to `evalDerivative`'s tree walk.
+// monotone behaviour on that box (`directionOf`).  The miner and the
+// simulated designer read every partial from one CompiledExpr::derivatives
+// sweep, whose enclosures are tested bit-identical to the tree walk of
+// `oracle::evalDerivative` (tests/oracle/expr.hpp).
 #pragma once
 
-#include <span>
+#include <cstdint>
 
-#include "expr/expr.hpp"
 #include "interval/interval.hpp"
 
 namespace adpm::expr {
@@ -27,17 +27,6 @@ enum class Direction : std::uint8_t {
 };
 
 const char* directionName(Direction d) noexcept;
-
-/// Value and derivative enclosures of an expression over a box.
-struct ValueDerivative {
-  interval::Interval value;
-  interval::Interval derivative;
-};
-
-/// Forward-mode AD: enclosures of e and ∂e/∂var over the box `domains`.
-ValueDerivative evalDerivative(const Expr& e,
-                               std::span<const interval::Interval> domains,
-                               VarId var);
 
 /// Classifies a derivative enclosure into a Direction: identically-zero ⇒
 /// Constant, provably signed ⇒ Increasing/Decreasing, else Unknown.  It

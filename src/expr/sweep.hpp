@@ -2,12 +2,13 @@
 //
 // A "sweep" is one pass over an expression — a forward interval evaluation,
 // an HC4 revise (forward + backward projection, counted once), or one fused
-// value+derivative pass of CompiledExpr::derivatives (the tree-walking
-// reference implementations in tests/oracle count theirs too).  A
-// propagation revise is one sweep: the propagator calls
-// CompiledExpr::revisePadded, which sizes the target's tolerance pad from
-// its own forward pass (the reference propagator evaluates first and so
-// counts two).  The counter exists to make the miner's
+// value+derivative pass of CompiledExpr::derivatives, whether the miner or
+// the simulated designer runs it (the tree-walking reference
+// implementations in tests/oracle count theirs too: `oracle::monotonicity`
+// counts one per `oracle::evalDerivative` walk).  A propagation revise is
+// one sweep: the propagator calls CompiledExpr::revisePadded, which sizes
+// the target's tolerance pad from its own forward pass (the reference
+// propagator evaluates first and so counts two).  The counter exists to make the miner's
 // Θ(Σβᵢ) → Θ(nc) sweep reduction observable in benchmarks and tests; it is
 // *not* the paper's cost metric — that is the network's charged evaluation
 // counter (`Network::evaluationCount`), which the optimizations leave

@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <span>
+#include <unordered_map>
+#include <utility>
 
-#include "expr/derivative.hpp"
+#include "expr/compiled.hpp"
 #include "expr/eval.hpp"
 
 namespace adpm::teamsim {
@@ -15,6 +18,32 @@ using constraint::Relation;
 using constraint::Status;
 
 namespace {
+
+/// The designer's reading of the current design point: each property's
+/// bound value, else the middle of its initial range.
+std::vector<double> designPoint(const constraint::Network& net) {
+  std::vector<double> point(net.propertyCount());
+  for (std::uint32_t i = 0; i < net.propertyCount(); ++i) {
+    const constraint::Property& p = net.property(PropertyId{i});
+    point[i] = p.bound() ? *p.value : p.initial.hull().mid();
+  }
+  return point;
+}
+
+/// (variable, partial) for each variable of a compiled expression, ascending:
+/// the midpoint of the ∂e/∂v enclosure from one derivatives sweep over
+/// `pointBox`, copied out of the expression's sweep scratch.
+using PointPartials = std::vector<std::pair<expr::VarId, double>>;
+PointPartials pointPartials(expr::CompiledExpr& compiled,
+                            std::span<const interval::Interval> pointBox) {
+  const expr::DerivativeSweep sweep = compiled.derivatives(pointBox);
+  PointPartials out;
+  out.reserve(sweep.derivatives.size());
+  for (std::size_t i = 0; i < sweep.derivatives.size(); ++i) {
+    out.emplace_back(compiled.variables()[i], sweep.derivatives[i].mid());
+  }
+  return out;
+}
 
 /// A defining equality model of a property p: constraint `model` reads
 /// `p == *other` (either side), where `other` does not mention p.
@@ -193,11 +222,7 @@ double clampToKnownConstraints(const dpm::DesignProcessManager& dpm,
                                PropertyId pid, double current,
                                double proposed) {
   const constraint::Network& net = dpm.network();
-  std::vector<double> values(net.propertyCount(), 0.0);
-  for (std::uint32_t i = 0; i < net.propertyCount(); ++i) {
-    const constraint::Property& p = net.property(PropertyId{i});
-    values[i] = p.bound() ? *p.value : p.initial.hull().mid();
-  }
+  std::vector<double> values = designPoint(net);
 
   double value = proposed;
   for (ConstraintId cid : net.constraintsOf(pid)) {
@@ -304,12 +329,7 @@ std::optional<dpm::Operation> SimulatedDesigner::makeOptimization(
     dpm::DesignProcessManager& dpm,
     const std::vector<dpm::ProblemId>& problems) {
   const constraint::Network& net = dpm.network();
-
-  std::vector<double> point(net.propertyCount(), 0.0);
-  for (std::uint32_t i = 0; i < net.propertyCount(); ++i) {
-    const constraint::Property& p = net.property(PropertyId{i});
-    point[i] = p.bound() ? *p.value : p.initial.hull().mid();
-  }
+  const std::vector<double> point = designPoint(net);
 
   std::vector<std::pair<PropertyId, dpm::ProblemId>> candidates;
   for (dpm::ProblemId id : problems) {
@@ -385,13 +405,25 @@ SimulatedDesigner::repairCandidates(
   // which number and by how much — and also the paper's §2.3.2 extension
   // ("β_i may also include constraints indirectly related to a_i by an
   // intermediate constraint").
-  std::vector<double> point(net.propertyCount());
-  std::vector<interval::Interval> pointBox(net.propertyCount());
-  for (std::uint32_t i = 0; i < net.propertyCount(); ++i) {
-    const constraint::Property& p = net.property(PropertyId{i});
-    point[i] = p.bound() ? *p.value : p.initial.hull().mid();
-    pointBox[i] = interval::Interval(point[i]);
-  }
+  const std::vector<double> point = designPoint(net);
+  std::vector<interval::Interval> pointBox;
+  pointBox.reserve(point.size());
+  for (double v : point) pointBox.emplace_back(v);
+
+  // Point partials of each defining model's `other` side, one sweep per
+  // side: the point is fixed for this call.  Keyed by the side, not the
+  // model: one equality a == b is a defining model of both a and b, with a
+  // different `other` for each.
+  std::unordered_map<const expr::Expr*, PointPartials> modelPartials;
+  auto partialsOf = [&](const expr::Expr& other) -> const PointPartials& {
+    auto it = modelPartials.find(&other);
+    if (it == modelPartials.end()) {
+      expr::CompiledExpr compiled(other);
+      it = modelPartials.emplace(&other, pointPartials(compiled, pointBox))
+               .first;
+    }
+    return it->second;
+  };
 
   // dx/db through defining models, depth-capped against cycles.  The
   // constraint currently being repaired is excluded from the chain:
@@ -405,9 +437,7 @@ SimulatedDesigner::repairCandidates(
     for (const DefiningModel& m : definingModels(net, x)) {
       if (m.model == excluded) continue;
       double total = 0.0;
-      for (expr::VarId v : expr::variablesOf(*m.other)) {
-        const double partial =
-            expr::evalDerivative(*m.other, pointBox, v).derivative.mid();
+      for (const auto& [v, partial] : partialsOf(*m.other)) {
         if (partial == 0.0 || !std::isfinite(partial)) continue;
         const double inner = dxdb(PropertyId{v}, b, excluded, depth - 1);
         if (inner != 0.0) total += partial * inner;
@@ -420,7 +450,7 @@ SimulatedDesigner::repairCandidates(
   // Helpful direction of b for a violated constraint: the side the residual
   // must move times the sign of the chained sensitivity.
   auto chainDirection = [&](PropertyId b, ConstraintId cid) -> int {
-    const constraint::Constraint& c = net.constraint(cid);
+    constraint::Constraint& c = dpm.network().constraint(cid);
     // Needed residual shift.
     int shift = 0;
     switch (c.relation()) {
@@ -433,13 +463,11 @@ SimulatedDesigner::repairCandidates(
         break;
       }
     }
+    // The compiled residual's variables are c.arguments(), in order.
     double total = 0.0;
-    for (PropertyId a : c.arguments()) {
-      const double partial =
-          expr::evalDerivative(c.residual(), pointBox, a.value)
-              .derivative.mid();
+    for (const auto& [a, partial] : pointPartials(c.compiled(), pointBox)) {
       if (partial == 0.0 || !std::isfinite(partial)) continue;
-      const double inner = dxdb(a, b, cid, 4);
+      const double inner = dxdb(PropertyId{a}, b, cid, 4);
       if (inner != 0.0) total += partial * inner;
     }
     if (!std::isfinite(total) || total == 0.0) return 0;
@@ -660,12 +688,7 @@ double SimulatedDesigner::chooseRepairValue(dpm::DesignProcessManager& dpm,
     // satisfying side.  Available in both flows: it is the designer's own
     // arithmetic, not process-manager feedback.
     if (!prop.initial.isDiscrete()) {
-      std::vector<double> point(dpm.network().propertyCount());
-      for (std::uint32_t i = 0; i < dpm.network().propertyCount(); ++i) {
-        const constraint::Property& pp =
-            dpm.network().property(PropertyId{i});
-        point[i] = pp.bound() ? *pp.value : pp.initial.hull().mid();
-      }
+      const std::vector<double> point = designPoint(dpm.network());
       const double margin =
           initialHull.width() /
           (options_.deltaDivisor > 0 ? options_.deltaDivisor : 100.0);

@@ -15,8 +15,10 @@ namespace adpm::expr {
 namespace {
 
 using interval::Interval;
+using oracle::evalDerivative;
 using oracle::evalInterval;
 using oracle::monotonicity;
+using oracle::ValueDerivative;
 
 TEST(Monotonicity, LinearTerms) {
   const Expr x = Expr::variable(0);

@@ -39,10 +39,12 @@ struct Outcome {
   std::uint64_t digest;  // fnv1a64 of the final service::snapshotText
 };
 
-Outcome simulate(const dpm::ScenarioSpec& spec, bool adpm, std::uint64_t seed) {
+Outcome simulate(const dpm::ScenarioSpec& spec, bool adpm, std::uint64_t seed,
+                 std::size_t maxOperations = 0) {
   teamsim::SimulationOptions options;
   options.adpm = adpm;
   options.seed = seed;
+  if (maxOperations > 0) options.maxOperations = maxOperations;
   teamsim::SimulationEngine engine(spec, options);
   const teamsim::SimulationResult r = engine.run();
   return {r.operations, r.evaluations,
@@ -412,6 +414,89 @@ TEST(ReceiverGolden, GainSweepMatchesGoldenTable) {
         << " seed=" << golden.seed;
   }
 }
+
+struct GoldenZooRun {
+  const char* preset;
+  bool adpm;
+  std::uint64_t seed;
+  std::size_t maxOperations;  // 0: the engine's default cap
+  std::size_t operations;
+  std::size_t evaluations;
+  std::uint64_t digest;
+};
+
+// TeamSim trajectories on generated networks, where the designer's
+// defining-model chains do most of their work: zoo-toy and zoo-small seeds
+// 1..5 per flow, and zoo-medium (ADPM) seeds 1..3 capped at 25 operations,
+// the cap perfbench's teamsim-zoo-medium workload runs under.  Conventional
+// zoo-small seeds 1 and 4 never complete and stop at the engine's cap.
+const GoldenZooRun kZooRuns[] = {
+    {"zoo-toy", true, 1, 0, 8, 179, 0x127bb24185c9928eull},
+    {"zoo-toy", true, 2, 0, 8, 156, 0xfc86d87684927263ull},
+    {"zoo-toy", true, 3, 0, 13, 609, 0xd9cea393705e24b4ull},
+    {"zoo-toy", true, 4, 0, 10, 409, 0x0d78c4b7742a9179ull},
+    {"zoo-toy", true, 5, 0, 10, 447, 0x6c35330e18e6a8f7ull},
+    {"zoo-toy", false, 1, 0, 105, 163, 0x1a489921f2bbf478ull},
+    {"zoo-toy", false, 2, 0, 46, 66, 0x7555531a74e91c2aull},
+    {"zoo-toy", false, 3, 0, 141, 226, 0xdb7757cf1839c2afull},
+    {"zoo-toy", false, 4, 0, 62, 103, 0xf65c11b26ec1dce4ull},
+    {"zoo-toy", false, 5, 0, 84, 132, 0x4c1d609a168a2d2bull},
+    {"zoo-small", true, 1, 0, 101, 37700, 0x5953ff39bb8f41f8ull},
+    {"zoo-small", true, 2, 0, 34, 7300, 0x01af760baf057ce0ull},
+    {"zoo-small", true, 3, 0, 35, 15126, 0xe87fd3aa0d439066ull},
+    {"zoo-small", true, 4, 0, 33, 11034, 0xdbaeba7b2a035a88ull},
+    {"zoo-small", true, 5, 0, 106, 83644, 0x04cffc41ba255acbull},
+    {"zoo-small", false, 1, 0, 20000, 85510, 0x5a6dc850e5a9589cull},
+    {"zoo-small", false, 2, 0, 225, 810, 0x456c8a41945d9a56ull},
+    {"zoo-small", false, 3, 0, 457, 1680, 0xf05f45f016a8fdf9ull},
+    {"zoo-small", false, 4, 0, 20000, 85360, 0xf8d49d41d8d9e3cdull},
+    {"zoo-small", false, 5, 0, 453, 1630, 0xf6873c8e0bc923cbull},
+    {"zoo-medium", true, 1, 25, 25, 529667, 0xe95fc49bc5a0af30ull},
+    {"zoo-medium", true, 2, 25, 25, 517704, 0x59291c36214d9ac6ull},
+    {"zoo-medium", true, 3, 25, 25, 624900, 0xe42f453d98d76135ull},
+};
+
+struct ZooFlow {
+  const char* preset;
+  bool adpm;
+};
+
+void PrintTo(const ZooFlow& f, std::ostream* os) {
+  *os << f.preset << (f.adpm ? " adpm" : " conventional");
+}
+
+class ZooTrajectoryGolden : public ::testing::TestWithParam<ZooFlow> {};
+
+TEST_P(ZooTrajectoryGolden, SimulationMatchesGoldenTable) {
+  const ZooFlow& flow = GetParam();
+  const dpm::ScenarioSpec spec = gen::scenarioByName(flow.preset);
+  std::size_t checked = 0;
+  for (const GoldenZooRun& golden : kZooRuns) {
+    if (std::string(flow.preset) != golden.preset || flow.adpm != golden.adpm) {
+      continue;
+    }
+    const Outcome run =
+        simulate(spec, golden.adpm, golden.seed, golden.maxOperations);
+    EXPECT_EQ(run.operations, golden.operations) << "seed=" << golden.seed;
+    EXPECT_EQ(run.evaluations, golden.evaluations) << "seed=" << golden.seed;
+    EXPECT_EQ(run.digest, golden.digest) << "seed=" << golden.seed;
+    ++checked;
+  }
+  EXPECT_GT(checked, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ZooTrajectories, ZooTrajectoryGolden,
+    ::testing::Values(ZooFlow{"zoo-toy", true}, ZooFlow{"zoo-toy", false},
+                      ZooFlow{"zoo-small", true}, ZooFlow{"zoo-small", false},
+                      ZooFlow{"zoo-medium", true}),
+    [](const ::testing::TestParamInfo<ZooFlow>& info) {
+      std::string name = info.param.preset;
+      for (char& c : name) {
+        if (c == '-') c = '_';
+      }
+      return name + (info.param.adpm ? "_adpm" : "_conventional");
+    });
 
 struct GoldenParamfile {
   const char* name;

@@ -203,5 +203,45 @@ TEST(DesignerMechanics, AttemptsRotationTriesAlternateKnobs) {
   EXPECT_TRUE(mgr.designComplete());
 }
 
+TEST(DesignerMechanics, SharedEqualityChainsThroughBothSides) {
+  // One equality a == b is a defining model of both a and b, read from a
+  // different side for each (b for a, a for b).  The knob k reaches a
+  // through a == 3k, and reaches b only through a == b read from b's side.
+  // Both specs are violated, so k influences both: alpha = 2.  A chain
+  // that reused a's reading of a == b for b would see b depend on itself
+  // and credit k with the first spec only.
+  dpm::ScenarioSpec spec;
+  spec.name = "shared";
+  spec.addObject("o");
+  const auto k = spec.addProperty("k", "o", Domain::continuous(0, 100));
+  const auto a = spec.addProperty("a", "o", Domain::continuous(0, 300));
+  const auto b = spec.addProperty("b", "o", Domain::continuous(0, 300));
+  spec.addConstraint({"same", spec.pvar(a), Relation::Eq, spec.pvar(b), {}});
+  spec.addConstraint({"model", spec.pvar(a), Relation::Eq,
+                      3.0 * spec.pvar(k), {}});
+  spec.addConstraint({"specA", spec.pvar(a), Relation::Le,
+                      expr::Expr::constant(20.0), {}});
+  spec.addConstraint({"specB", spec.pvar(b), Relation::Le,
+                      expr::Expr::constant(20.0), {}});
+  spec.addProblem({"P", "o", "dana", {}, {k, a, b}, {0, 1, 2, 3},
+                   std::nullopt, {}, true});
+
+  dpm::DesignProcessManager mgr(dpm::DesignProcessManager::Options{.adpm = true});
+  dpm::instantiate(spec, mgr);
+  mgr.execute(synth(0, "dana", static_cast<std::uint32_t>(k), 10.0));
+  mgr.execute(synth(0, "dana", static_cast<std::uint32_t>(a), 30.0));
+  mgr.execute(synth(0, "dana", static_cast<std::uint32_t>(b), 30.0));
+  ASSERT_EQ(mgr.knownViolationCount(), 2u);  // specA and specB
+
+  SimulationOptions options;
+  SimulatedDesigner dana("dana", options, 13);
+  const auto op = dana.nextOperation(mgr);
+  ASSERT_TRUE(op.has_value());
+  ASSERT_EQ(op->assignments.size(), 1u);
+  EXPECT_EQ(op->assignments[0].first.value, static_cast<std::uint32_t>(k));
+  EXPECT_NE(op->rationale.find("(alpha=2)"), std::string::npos)
+      << op->rationale;
+}
+
 }  // namespace
 }  // namespace adpm::teamsim
