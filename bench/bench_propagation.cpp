@@ -5,6 +5,13 @@
 // fixpoint, the single-pass ablation, and a what-if (relaxed) propagation —
 // on both evaluation networks.  DESIGN.md lists the fixpoint-vs-single-pass
 // choice as an ablation; the speed side of that trade-off lives here.
+//
+// The propagation series repeat one box, so after the first iteration every
+// revise would be replayed from the constraints' revise traces.  Each takes
+// a `warm` argument: warm:0 (cold) forgets the traces before every
+// iteration, so each revise sweeps its expression; warm:1 keeps them, the
+// replay path.  `replayed_per_run` counts the revises served from a trace
+// per iteration.
 #include <benchmark/benchmark.h>
 
 #include "constraint/miner.hpp"
@@ -49,26 +56,51 @@ void BM_Hc4Revise(benchmark::State& state) {
 }
 BENCHMARK(BM_Hc4Revise)->Arg(0)->Arg(1)->ArgNames({"receiver"});
 
+/// Items processed and the `replayed_per_run` counter of a propagation
+/// series.
+void reportRuns(benchmark::State& state, std::size_t replayed) {
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.counters["replayed_per_run"] = benchmark::Counter(
+      static_cast<double>(replayed) /
+      static_cast<double>(std::max<benchmark::IterationCount>(
+          state.iterations(), 1)));
+}
+
+/// Benchmarks one propagation per iteration (`run` returns its result);
+/// cold iterations forget the revise traces first.
+template <typename Run>
+void propagationLoop(benchmark::State& state, constraint::Network& net,
+                     bool warm, Run run) {
+  std::size_t replayed = 0;
+  for (auto _ : state) {
+    if (!warm) net.forgetReviseTraces();
+    const constraint::PropagationResult r = run();
+    replayed += r.replayed;
+    benchmark::DoNotOptimize(r);
+  }
+  reportRuns(state, replayed);
+}
+
 void BM_PropagationFixpoint(benchmark::State& state) {
   auto mgr = makeManager(state.range(0) != 0);
   constraint::Propagator prop;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(prop.run(mgr->network()));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  propagationLoop(state, mgr->network(), state.range(1) != 0,
+                  [&] { return prop.run(mgr->network()); });
 }
-BENCHMARK(BM_PropagationFixpoint)->Arg(0)->Arg(1)->ArgNames({"receiver"});
+BENCHMARK(BM_PropagationFixpoint)
+    ->ArgsProduct({{0, 1}, {0, 1}})
+    ->ArgNames({"receiver", "warm"});
 
 void BM_PropagationSinglePass(benchmark::State& state) {
   auto mgr = makeManager(state.range(0) != 0);
   constraint::Propagator prop{
       constraint::Propagator::Options{.fixpoint = false}};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(prop.run(mgr->network()));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  propagationLoop(state, mgr->network(), state.range(1) != 0,
+                  [&] { return prop.run(mgr->network()); });
 }
-BENCHMARK(BM_PropagationSinglePass)->Arg(0)->Arg(1)->ArgNames({"receiver"});
+BENCHMARK(BM_PropagationSinglePass)
+    ->ArgsProduct({{0, 1}, {0, 1}})
+    ->ArgNames({"receiver", "warm"});
 
 void BM_WhatIfRelaxed(benchmark::State& state) {
   auto mgr = makeManager(state.range(0) != 0);
@@ -77,24 +109,32 @@ void BM_WhatIfRelaxed(benchmark::State& state) {
   const auto pid = net.propertyIds().at(7);
   net.bind(pid, net.property(pid).initial.hull().mid());
   constraint::Propagator prop;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(prop.runRelaxed(net, pid));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  propagationLoop(state, net, state.range(1) != 0,
+                  [&] { return prop.runRelaxed(net, pid); });
 }
-BENCHMARK(BM_WhatIfRelaxed)->Arg(0)->Arg(1)->ArgNames({"receiver"});
+BENCHMARK(BM_WhatIfRelaxed)
+    ->ArgsProduct({{0, 1}, {0, 1}})
+    ->ArgNames({"receiver", "warm"});
 
 void BM_MinerFullPass(benchmark::State& state) {
   auto mgr = makeManager(state.range(0) != 0);
+  auto& net = mgr->network();
+  const bool warm = state.range(1) != 0;
   constraint::Propagator prop;
   constraint::HeuristicMiner miner;
+  std::size_t replayed = 0;
   for (auto _ : state) {
-    const auto r = prop.run(mgr->network());
-    benchmark::DoNotOptimize(miner.mine(mgr->network(), r));
+    if (!warm) net.forgetReviseTraces();
+    const auto r = prop.run(net);
+    const auto report = miner.mine(net, r);
+    replayed += r.replayed + report.extraReplayed;
+    benchmark::DoNotOptimize(report);
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  reportRuns(state, replayed);
 }
-BENCHMARK(BM_MinerFullPass)->Arg(0)->Arg(1)->ArgNames({"receiver"});
+BENCHMARK(BM_MinerFullPass)
+    ->ArgsProduct({{0, 1}, {0, 1}})
+    ->ArgNames({"receiver", "warm"});
 
 // Drives the first six unbound properties alternately to the top and bottom
 // of their ranges (the differential tests' extremes recipe): a violated
@@ -122,12 +162,15 @@ void bindExtremes(constraint::Network& net) {
 //            the AD sweeps plus a what-if propagation per bound property
 //            caught in a violation — the what-if cost modes 1 and 2 never
 //            reach, since an initial state binds nothing.
+// Only mode 3 propagates, so only mode 3 has a warm:1 series (revise traces
+// kept across mines); warm:0 forgets them before every mine.
 // The `sweeps_per_mine` counter is the Θ-claim made observable, and
 // `whatif_evals_per_mine` the charged what-if evaluations; wall time is the
 // actual cost.
 void BM_MineGuidance(benchmark::State& state) {
   const bool receiver = state.range(0) != 0;
   const int mode = static_cast<int>(state.range(1));
+  const bool warm = state.range(2) != 0;
   auto mgr = makeManager(receiver);
   auto& net = mgr->network();
   if (mode == 3) bindExtremes(net);
@@ -147,10 +190,13 @@ void BM_MineGuidance(benchmark::State& state) {
   expr::resetSweepCount();
   std::uint64_t mines = 0;
   std::size_t whatIf = 0;
+  std::size_t replayed = 0;
   for (auto _ : state) {
     if (mode != 2) net.unbind(unboundPid);
+    if (!warm) net.forgetReviseTraces();
     const auto report = miner.mine(net, propagation);
     whatIf += report.extraEvaluations;
+    replayed += report.extraReplayed;
     benchmark::DoNotOptimize(report);
     ++mines;
   }
@@ -158,7 +204,7 @@ void BM_MineGuidance(benchmark::State& state) {
     state.SkipWithError("violated state ran no what-if propagation");
     return;
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  reportRuns(state, replayed);
   const double perMine = mines == 0 ? 0.0 : 1.0 / static_cast<double>(mines);
   state.counters["sweeps_per_mine"] = benchmark::Counter(
       static_cast<double>(expr::sweepCount()) * perMine);
@@ -166,13 +212,15 @@ void BM_MineGuidance(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(whatIf) * perMine);
 }
 BENCHMARK(BM_MineGuidance)
-    ->Args({0, 1})
-    ->Args({0, 2})
-    ->Args({0, 3})
-    ->Args({1, 1})
-    ->Args({1, 2})
-    ->Args({1, 3})
-    ->ArgNames({"receiver", "mode"});
+    ->Args({0, 1, 0})
+    ->Args({0, 2, 0})
+    ->Args({0, 3, 0})
+    ->Args({0, 3, 1})
+    ->Args({1, 1, 0})
+    ->Args({1, 2, 0})
+    ->Args({1, 3, 0})
+    ->Args({1, 3, 1})
+    ->ArgNames({"receiver", "mode", "warm"});
 
 // Size sweep over the generated scenario zoo (~10 → ~6000 constraints).
 // Zoom levels are forced eager so the whole network is active and the
@@ -190,18 +238,16 @@ void BM_PropagationGeneratedSweep(benchmark::State& state) {
       dpm::DesignProcessManager::Options{.adpm = true});
   dpm::instantiate(gen::generate(params).spec, *mgr);
   constraint::Propagator prop;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(prop.run(mgr->network()));
-  }
+  propagationLoop(state, mgr->network(), state.range(1) != 0,
+                  [&] { return prop.run(mgr->network()); });
   state.counters["constraints"] = benchmark::Counter(
       static_cast<double>(mgr->network().constraintIds().size()));
   state.counters["properties"] = benchmark::Counter(
       static_cast<double>(mgr->network().propertyIds().size()));
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_PropagationGeneratedSweep)
-    ->DenseRange(0, 4)
-    ->ArgNames({"zoo"})
+    ->ArgsProduct({benchmark::CreateDenseRange(0, 4, 1), {0, 1}})
+    ->ArgNames({"zoo", "warm"})
     ->Unit(benchmark::kMillisecond);
 
 void BM_FullSimulation(benchmark::State& state) {

@@ -17,6 +17,11 @@
 #   * mode:3 — a violated state with a cold cache: sweeps_per_mine and
 #     whatif_evals_per_mine include the what-if propagations;
 #   * BM_PropagationFixpoint / BM_Hc4Revise — the zero-allocation hot path;
+#   * warm:0 / warm:1 on every propagating series (BM_PropagationFixpoint,
+#     BM_PropagationSinglePass, BM_WhatIfRelaxed, BM_MinerFullPass,
+#     BM_PropagationGeneratedSweep, BM_MineGuidance mode:3) — revise traces
+#     forgotten before each iteration (every revise sweeps) or kept (the
+#     repeated box replays); replayed_per_run counts the replays;
 #   * BM_ServiceFleet workers:1/2/4 — ops_per_sec and sessions_per_sec of
 #     the concurrent session service; the 4-vs-1 worker ratio is the scaling
 #     claim (needs >1 hardware thread to mean anything).  Like

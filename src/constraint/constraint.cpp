@@ -44,6 +44,30 @@ Constraint::Constraint(ConstraintId id, std::string name, expr::Expr lhs,
   for (expr::VarId v : compiled_->variables()) {
     args_.push_back(PropertyId{v});
   }
+  reviseTrace_ = ReviseTrace(args_.size());
+}
+
+void Constraint::ReviseTrace::record(
+    std::size_t k, std::span<const interval::Interval> before,
+    std::span<const interval::Interval> after, Outcome outcome) {
+  if (k >= kSlots || k > outcomes_.size()) return;
+  if (k == outcomes_.size()) {
+    // Grow by whole chunks of slots, not by doubling: most traces on the
+    // generated networks fill all kSlots, and a doubled buffer would hold
+    // a third more than that.
+    if (k == outcomes_.capacity()) {
+      constexpr std::size_t kChunk = 8;
+      const std::size_t slots = std::min(kSlots, k + kChunk);
+      outcomes_.reserve(slots);
+      io_.reserve(slots * 2 * arity_);
+    }
+    outcomes_.emplace_back();
+    io_.resize(io_.size() + 2 * arity_);
+  }
+  outcomes_[k] = outcome;
+  interval::Interval* in = io_.data() + k * 2 * arity_;
+  std::copy(before.begin(), before.end(), in);
+  if (outcome.narrowed) std::copy(after.begin(), after.end(), in + arity_);
 }
 
 interval::Interval Constraint::target() const noexcept {

@@ -6,10 +6,13 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "constraint/ids.hpp"
@@ -50,9 +53,12 @@ class Constraint {
 
   bool involves(PropertyId p) const noexcept;
 
-  /// The compiled residual for evaluation/HC4; one instance per constraint,
-  /// so a Constraint is not safe for concurrent evaluation.
-  expr::CompiledExpr& compiled() noexcept { return *compiled_; }
+  /// The compiled residual for evaluation/HC4: an immutable program whose
+  /// sweeps run over the calling thread's workspace, so any number of
+  /// threads may sweep it at once.  The caches below are per-constraint
+  /// mutable state, so a Constraint as a whole is still owned by one
+  /// propagation or mine at a time.
+  const expr::CompiledExpr& compiled() const noexcept { return *compiled_; }
 
   /// Miner cache: residual enclosure and per-argument derived direction from
   /// the last compiled-AD sweep, keyed on the network's box generation
@@ -68,6 +74,81 @@ class Constraint {
     std::vector<expr::Direction> argDirection;
   };
   MiningCache& miningCache() noexcept { return miningCache_; }
+
+  /// Revise trace: the inputs and outcome of this constraint's k-th HC4
+  /// revise (k < kSlots) in the last propagation run that revised it k+1
+  /// times.  A revise is a pure function of the argument intervals (the
+  /// compiled residual and the target never change), so when the k-th
+  /// revise of a later run sees the same arguments bit for bit, the
+  /// propagator replays slot k instead of sweeping the expression.  Main
+  /// runs and what-ifs alternate over mostly unchanged boxes, which is what
+  /// makes the k-th revises repeat.  A replayed revise is still charged as
+  /// one evaluation (see docs/ARCHITECTURE.md, §4b).
+  class ReviseTrace {
+   public:
+    /// Slots per constraint.  On zoo-medium's 25-op benchmark trajectories
+    /// 24 slots replay 62% of the revises with ~670 KB of traces per
+    /// network; 16 slots replay 49%, 32 slots 66%, unbounded traces 77%
+    /// for ~1.5 MB (docs/ARCHITECTURE.md, §4b).
+    static constexpr std::size_t kSlots = 24;
+
+    /// What a revise concluded besides the narrowed arguments.
+    struct Outcome {
+      bool feasible = false;
+      bool narrowed = false;
+      Status status = Status::Consistent;
+    };
+
+    explicit ReviseTrace(std::size_t arity) : arity_(arity) {}
+
+    /// Slots recorded so far.
+    std::size_t size() const noexcept { return outcomes_.size(); }
+
+    /// Slot k's outcome if its recorded arguments equal `args` bit for bit
+    /// — so [−0, −0] does not match [+0, +0] — else null.
+    const Outcome* match(std::size_t k,
+                         std::span<const interval::Interval> args) const {
+      if (k >= outcomes_.size()) return nullptr;
+      // A constant residual has no arguments, and memcmp must not be handed
+      // the null data of an empty buffer.
+      if (arity_ != 0 &&
+          std::memcmp(slot(k), args.data(), arity_ * sizeof(args[0])) != 0) {
+        return nullptr;
+      }
+      return &outcomes_[k];
+    }
+
+    /// Slot k's arguments after its revise; set only when it narrowed.
+    std::span<const interval::Interval> after(std::size_t k) const noexcept {
+      return {slot(k) + arity_, arity_};
+    }
+
+    /// Records the k-th revise of the current run (k <= size(); slots past
+    /// kSlots are dropped).  `after` is read only when `outcome.narrowed`.
+    void record(std::size_t k, std::span<const interval::Interval> before,
+                std::span<const interval::Interval> after, Outcome outcome);
+
+    /// Empties every slot, keeping the storage.
+    void forget() noexcept {
+      outcomes_.clear();
+      io_.clear();
+    }
+
+   private:
+    static_assert(std::is_trivially_copyable_v<interval::Interval> &&
+                  sizeof(interval::Interval) == 2 * sizeof(double));
+
+    const interval::Interval* slot(std::size_t k) const noexcept {
+      return io_.data() + k * 2 * arity_;
+    }
+
+    std::size_t arity_;
+    std::vector<Outcome> outcomes_;
+    /// Per slot: the arity arguments before the revise, then after it.
+    std::vector<interval::Interval> io_;
+  };
+  ReviseTrace& reviseTrace() noexcept { return reviseTrace_; }
+  const ReviseTrace& reviseTrace() const noexcept { return reviseTrace_; }
 
   /// Declared monotonicity (from DDDL "monotone increasing/decreasing in"):
   /// the direction of the *property* movement that helps satisfy the
@@ -91,6 +172,7 @@ class Constraint {
   std::unique_ptr<expr::CompiledExpr> compiled_;
   std::map<PropertyId, int> declaredHelp_;
   MiningCache miningCache_;
+  ReviseTrace reviseTrace_{0};
 };
 
 /// Classifies a residual enclosure against a target interval per the paper's

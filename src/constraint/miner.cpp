@@ -132,6 +132,7 @@ GuidanceReport HeuristicMiner::mine(Network& net,
     if (options_.whatIfForViolated && p.bound() && g.alpha > 0) {
       const PropagationResult relaxed = propagator_.runRelaxed(net, pid);
       report.extraEvaluations += relaxed.evaluations;
+      report.extraReplayed += relaxed.replayed;
       g.feasible = relaxed.feasible.at(pi);
       g.relativeFeasibleSize = g.feasible.relativeMeasure(p.initial);
     }

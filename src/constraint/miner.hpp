@@ -57,6 +57,9 @@ struct GuidanceReport {
   /// Extra evaluations spent on what-if (relaxed) propagation for bound
   /// properties involved in violations.
   std::size_t extraEvaluations = 0;
+  /// The what-if revises among `extraEvaluations` served from revise
+  /// traces (`PropagationResult::replayed`).
+  std::size_t extraReplayed = 0;
 
   const PropertyGuidance& of(PropertyId p) const { return properties.at(p.value); }
 };

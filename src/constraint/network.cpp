@@ -174,4 +174,8 @@ std::vector<Status> Network::evaluate(const std::vector<ConstraintId>& ids) {
   return out;
 }
 
+void Network::forgetReviseTraces() noexcept {
+  for (const auto& c : constraints_) c->reviseTrace().forget();
+}
+
 }  // namespace adpm::constraint

@@ -36,7 +36,7 @@ class Network {
  public:
   Network() = default;
 
-  // Non-copyable (constraints hold compiled scratch); movable.
+  // Non-copyable (constraints hold per-constraint caches); movable.
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
   Network(Network&&) = default;
@@ -116,6 +116,11 @@ class Network {
   /// so repeated mines over an unchanged box (what-if reporting, repeated
   /// browser refreshes) skip recomputation.
   std::uint64_t generation() const noexcept { return generation_; }
+
+  /// Empties every constraint's revise trace, so the next propagation run
+  /// sweeps every revise (benchmarks use this to measure cold runs).  Never
+  /// needed for correctness: a trace slot is keyed on the exact arguments.
+  void forgetReviseTraces() noexcept;
 
  private:
   std::vector<Property> properties_;

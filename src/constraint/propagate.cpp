@@ -86,6 +86,7 @@ PropagationResult Propagator::runOnBox(
   s.queue.clear();
   s.queueHead = 0;
   s.queued.assign(nc, 0);
+  s.ordinal.assign(nc, 0);
   for (std::uint32_t i = 0; i < nc; ++i) {
     if (!net.isActive(ConstraintId{i})) continue;  // not generated yet
     s.queue.push_back(ConstraintId{i});
@@ -111,26 +112,51 @@ PropagationResult Propagator::runOnBox(
     s.queued[cid.value] = 0;
 
     Constraint& c = net.constraint(cid);
+    const std::size_t k = s.ordinal[cid.value]++;
 
     // Snapshot the arguments to detect significant narrowing (reused
-    // buffer; capacity persists across revises and runs).
+    // buffer; capacity persists across revises and runs).  The snapshot is
+    // also the revise trace's key.
     s.before.clear();
     for (PropertyId arg : c.arguments()) s.before.push_back(box[arg.value]);
 
-    // Revise against a tolerance-padded target: the revise's own forward
-    // sweep sizes the pad to the residual's magnitude so boundary-exact
-    // designs are not flipped to Violated by rounding.
-    const expr::ReviseResult r =
-        c.compiled().revisePadded(c.target(), {box.data(), box.size()});
+    Constraint::ReviseTrace& trace = c.reviseTrace();
+    Constraint::ReviseTrace::Outcome outcome;
+    if (const Constraint::ReviseTrace::Outcome* hit =
+            trace.match(k, s.before)) {
+      // The k-th revise of an earlier run saw these arguments bit for bit:
+      // replay its outcome instead of sweeping the expression.
+      outcome = *hit;
+      if (outcome.narrowed) {
+        const auto after = trace.after(k);
+        for (std::size_t i = 0; i < after.size(); ++i) {
+          box[c.arguments()[i].value] = after[i];
+        }
+      }
+      ++result.replayed;
+    } else {
+      // Revise against a tolerance-padded target: the revise's own forward
+      // sweep sizes the pad to the residual's magnitude so boundary-exact
+      // designs are not flipped to Violated by rounding.
+      const expr::ReviseResult r =
+          c.compiled().revisePadded(c.target(), {box.data(), box.size()});
+      outcome.feasible = r.feasible;
+      outcome.narrowed = r.narrowed;
+      outcome.status =
+          r.feasible ? classify(r.value, r.target) : Status::Violated;
+      s.after.clear();
+      if (r.narrowed) {
+        for (PropertyId arg : c.arguments()) {
+          s.after.push_back(box[arg.value]);
+        }
+      }
+      trace.record(k, s.before, s.after, outcome);
+    }
     ++revises;
 
-    if (!r.feasible) {
-      result.status[cid.value] = Status::Violated;
-      continue;  // no narrowing to propagate from a violated constraint
-    }
-    result.status[cid.value] = classify(r.value, r.target);
-
-    if (!r.narrowed || !options_.fixpoint) continue;
+    result.status[cid.value] = outcome.status;
+    // No narrowing to propagate from a violated constraint.
+    if (!outcome.feasible || !outcome.narrowed || !options_.fixpoint) continue;
 
     for (std::size_t i = 0; i < c.arguments().size(); ++i) {
       const PropertyId arg = c.arguments()[i];

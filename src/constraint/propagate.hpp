@@ -8,7 +8,9 @@
 // unbound ones spanning their range E_i); every revise that narrows a
 // property's interval requeues the constraints sharing that property.  Every
 // revise is charged to the network's evaluation counter — this is exactly
-// the "extra tool runs" cost the paper attributes to ADPM.
+// the "extra tool runs" cost the paper attributes to ADPM — including a
+// revise replayed from the constraint's revise trace because its arguments
+// repeat bit for bit (`Constraint::ReviseTrace`).
 #pragma once
 
 #include <cstdint>
@@ -38,6 +40,9 @@ struct PropagationResult {
   std::vector<ConstraintId> violated;
   /// Revises performed by this run (also charged to the network counter).
   std::size_t evaluations = 0;
+  /// The revises among `evaluations` served from the constraints' revise
+  /// traces instead of an expression sweep (`Constraint::ReviseTrace`).
+  std::size_t replayed = 0;
   /// Number of fixpoint sweeps that performed at least one revise.
   std::size_t passes = 0;
 
@@ -88,15 +93,20 @@ class Propagator {
   Options options_;
 
   /// Scratch arena reused across runs so the steady-state hot path performs
-  /// no heap allocation: the per-revise `before` snapshot, the AC-3 FIFO
-  /// and its membership bitmap, and the discrete-shaving probe box.  All
-  /// buffers keep their capacity between runs.  Mutable because the public
+  /// no heap allocation: the per-revise `before` and `after` snapshots, the
+  /// per-constraint revise ordinals, the AC-3 FIFO and its membership
+  /// bitmap, and the discrete-shaving probe box.  All buffers keep their
+  /// capacity between runs.  Mutable because the public
   /// entry points are const (they do not change *observable* propagator
   /// state); consequently a Propagator instance is not safe for concurrent
   /// use — every engine/thread owns its own, as the parallel seed sweep
   /// already guarantees.
   struct Scratch {
     std::vector<interval::Interval> before;
+    std::vector<interval::Interval> after;
+    /// Revises of each constraint so far in this run: the next revise's
+    /// slot in the constraint's revise trace.
+    std::vector<std::uint32_t> ordinal;
     /// FIFO as vector + head cursor (std::deque churns block allocations).
     std::vector<ConstraintId> queue;
     std::size_t queueHead = 0;

@@ -4,10 +4,10 @@
 
 namespace adpm::constraint {
 
-interval::IntervalSet solveUnivariate(Network& net, ConstraintId c,
+interval::IntervalSet solveUnivariate(const Network& net, ConstraintId c,
                                       PropertyId arg,
                                       const UnivariateOptions& options) {
-  Constraint& con = net.constraint(c);
+  const Constraint& con = net.constraint(c);
   auto box = net.currentBox();
   const interval::Interval range = net.property(arg).initial.hull();
   if (range.empty() || !range.isBounded()) {

@@ -28,7 +28,7 @@ struct UnivariateOptions {
 /// solution set intersected with it (outer enclosure per lobe).
 /// Not charged to the network's evaluation counter — callers decide whether
 /// the computation counts as tool runs.
-interval::IntervalSet solveUnivariate(Network& net, ConstraintId c,
+interval::IntervalSet solveUnivariate(const Network& net, ConstraintId c,
                                       PropertyId arg,
                                       const UnivariateOptions& options = {});
 

@@ -21,10 +21,8 @@ namespace {
 interval::IntervalSet requiredWindow(const DesignProcessManager& dpm,
                                      constraint::ConstraintId cid,
                                      constraint::PropertyId arg) {
-  // Rendering needs mutable access to the compiled scratch only;
   // solveUnivariate does not charge the evaluation counter.
-  auto& net = const_cast<DesignProcessManager&>(dpm).network();
-  return constraint::solveUnivariate(net, cid, arg);
+  return constraint::solveUnivariate(dpm.network(), cid, arg);
 }
 
 std::string feasibleText(const DesignProcessManager& dpm,

@@ -10,6 +10,31 @@ namespace adpm::expr {
 
 using interval::Interval;
 
+namespace {
+
+/// Sweep scratch shared by every CompiledExpr on this thread: node
+/// enclosures of the forward and backward sweeps, the harvest's
+/// per-variable refinements and the tangent matrix of `derivatives`.  No
+/// sweep reads what an earlier one left here, so a program's results depend
+/// on its inputs alone; the buffers only grow, to the largest program the
+/// thread has swept, and the steady-state sweep allocates nothing.
+struct Workspace {
+  std::vector<Interval> fwd;
+  std::vector<Interval> bwd;
+  std::vector<Interval> refined;
+  std::vector<Interval> tan;
+};
+
+thread_local Workspace tlsWorkspace;
+
+/// `buffer` grown to at least `n` entries; returns its storage.
+Interval* atLeast(std::vector<Interval>& buffer, std::size_t n) {
+  if (buffer.size() < n) buffer.resize(n);
+  return buffer.data();
+}
+
+}  // namespace
+
 CompiledExpr::CompiledExpr(const Expr& e) {
   if (!e.valid()) throw adpm::InvalidArgumentError("CompiledExpr: invalid Expr");
   compile(e);
@@ -23,8 +48,6 @@ CompiledExpr::CompiledExpr(const Expr& e) {
         vars_.begin());
     varSlots_.push_back({i, slot});
   }
-  fwd_.resize(nodes_.size());
-  bwd_.resize(nodes_.size());
 }
 
 int CompiledExpr::compile(const Expr& e) {
@@ -37,62 +60,67 @@ int CompiledExpr::compile(const Expr& e) {
   return static_cast<int>(nodes_.size()) - 1;
 }
 
-void CompiledExpr::forwardSweep(std::span<const Interval> domains) {
+void CompiledExpr::forwardSweep(std::span<const Interval> domains,
+                                Interval* fwd) const {
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     const CNode& n = nodes_[i];
-    const auto x = [&]() -> const Interval& { return fwd_[static_cast<std::size_t>(n.child0)]; };
-    const auto y = [&]() -> const Interval& { return fwd_[static_cast<std::size_t>(n.child1)]; };
+    const auto x = [&]() -> const Interval& { return fwd[static_cast<std::size_t>(n.child0)]; };
+    const auto y = [&]() -> const Interval& { return fwd[static_cast<std::size_t>(n.child1)]; };
     switch (n.kind) {
-      case OpKind::Const: fwd_[i] = Interval(n.value); break;
+      case OpKind::Const: fwd[i] = Interval(n.value); break;
       case OpKind::Var:
         if (n.var >= domains.size()) {
           throw adpm::InvalidArgumentError("CompiledExpr: variable out of range");
         }
-        fwd_[i] = domains[n.var];
+        fwd[i] = domains[n.var];
         break;
-      case OpKind::Add: fwd_[i] = x() + y(); break;
-      case OpKind::Sub: fwd_[i] = x() - y(); break;
-      case OpKind::Mul: fwd_[i] = x() * y(); break;
-      case OpKind::Div: fwd_[i] = x() / y(); break;
-      case OpKind::Neg: fwd_[i] = -x(); break;
-      case OpKind::Sqrt: fwd_[i] = interval::sqrt(x()); break;
-      case OpKind::Sqr: fwd_[i] = interval::sqr(x()); break;
-      case OpKind::Pow: fwd_[i] = interval::pow(x(), n.exponent); break;
-      case OpKind::Exp: fwd_[i] = interval::exp(x()); break;
-      case OpKind::Log: fwd_[i] = interval::log(x()); break;
-      case OpKind::Abs: fwd_[i] = interval::abs(x()); break;
-      case OpKind::Min: fwd_[i] = interval::min(x(), y()); break;
-      case OpKind::Max: fwd_[i] = interval::max(x(), y()); break;
+      case OpKind::Add: fwd[i] = x() + y(); break;
+      case OpKind::Sub: fwd[i] = x() - y(); break;
+      case OpKind::Mul: fwd[i] = x() * y(); break;
+      case OpKind::Div: fwd[i] = x() / y(); break;
+      case OpKind::Neg: fwd[i] = -x(); break;
+      case OpKind::Sqrt: fwd[i] = interval::sqrt(x()); break;
+      case OpKind::Sqr: fwd[i] = interval::sqr(x()); break;
+      case OpKind::Pow: fwd[i] = interval::pow(x(), n.exponent); break;
+      case OpKind::Exp: fwd[i] = interval::exp(x()); break;
+      case OpKind::Log: fwd[i] = interval::log(x()); break;
+      case OpKind::Abs: fwd[i] = interval::abs(x()); break;
+      case OpKind::Min: fwd[i] = interval::min(x(), y()); break;
+      case OpKind::Max: fwd[i] = interval::max(x(), y()); break;
     }
   }
 }
 
-Interval CompiledExpr::evaluate(std::span<const Interval> domains) {
+Interval CompiledExpr::evaluate(std::span<const Interval> domains) const {
   countSweep();
-  forwardSweep(domains);
-  return fwd_.back();
+  Interval* fwd = atLeast(tlsWorkspace.fwd, nodes_.size());
+  forwardSweep(domains, fwd);
+  return fwd[nodes_.size() - 1];
 }
 
-DerivativeSweep CompiledExpr::derivatives(std::span<const Interval> domains) {
+DerivativeSweep CompiledExpr::derivatives(
+    std::span<const Interval> domains) const {
   countSweep();
-  forwardSweep(domains);
+  Workspace& ws = tlsWorkspace;
+  Interval* fwd = atLeast(ws.fwd, nodes_.size());
+  forwardSweep(domains, fwd);
 
   const std::size_t nv = vars_.size();
-  tan_.resize(nodes_.size() * nv);
+  Interval* tan = atLeast(ws.tan, nodes_.size() * nv);
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     const CNode& n = nodes_[i];
-    Interval* d = tan_.data() + i * nv;
+    Interval* d = tan + i * nv;
     const Interval* dx =
-        n.child0 >= 0 ? tan_.data() + static_cast<std::size_t>(n.child0) * nv
+        n.child0 >= 0 ? tan + static_cast<std::size_t>(n.child0) * nv
                       : nullptr;
     const Interval* dy =
-        n.child1 >= 0 ? tan_.data() + static_cast<std::size_t>(n.child1) * nv
+        n.child1 >= 0 ? tan + static_cast<std::size_t>(n.child1) * nv
                       : nullptr;
     const auto x = [&]() -> const Interval& {
-      return fwd_[static_cast<std::size_t>(n.child0)];
+      return fwd[static_cast<std::size_t>(n.child0)];
     };
     const auto y = [&]() -> const Interval& {
-      return fwd_[static_cast<std::size_t>(n.child1)];
+      return fwd[static_cast<std::size_t>(n.child1)];
     };
     // Each case mirrors oracle::evalDerivative's formula and operation order
     // exactly, so the per-variable enclosures are bit-identical to the
@@ -126,9 +154,9 @@ DerivativeSweep CompiledExpr::derivatives(std::span<const Interval> domains) {
         for (std::size_t k = 0; k < nv; ++k) d[k] = -dx[k];
         break;
       case OpKind::Sqrt:
-        // fwd_[i] is sqrt(x), the `root` of the tree-walking formula.
+        // fwd[i] is sqrt(x), the `root` of the tree-walking formula.
         for (std::size_t k = 0; k < nv; ++k) {
-          d[k] = dx[k] / (Interval(2.0) * fwd_[i]);
+          d[k] = dx[k] / (Interval(2.0) * fwd[i]);
         }
         break;
       case OpKind::Sqr:
@@ -143,7 +171,7 @@ DerivativeSweep CompiledExpr::derivatives(std::span<const Interval> domains) {
         }
         break;
       case OpKind::Exp:
-        for (std::size_t k = 0; k < nv; ++k) d[k] = fwd_[i] * dx[k];
+        for (std::size_t k = 0; k < nv; ++k) d[k] = fwd[i] * dx[k];
         break;
       case OpKind::Log:
         for (std::size_t k = 0; k < nv; ++k) d[k] = dx[k] / x();
@@ -186,8 +214,8 @@ DerivativeSweep CompiledExpr::derivatives(std::span<const Interval> domains) {
   }
 
   DerivativeSweep out;
-  out.value = fwd_.back();
-  out.derivatives = {tan_.data() + (nodes_.size() - 1) * nv, nv};
+  out.value = fwd[nodes_.size() - 1];
+  out.derivatives = {tan + (nodes_.size() - 1) * nv, nv};
   return out;
 }
 
@@ -204,23 +232,27 @@ Interval tolerancedTarget(const Interval& target, const Interval& residual,
 }
 
 ReviseResult CompiledExpr::revise(const Interval& target,
-                                  std::span<Interval> domains) {
+                                  std::span<Interval> domains) const {
   countSweep();
-  forwardSweep({domains.data(), domains.size()});
-  return backwardSweep(target, domains);
+  Interval* fwd = atLeast(tlsWorkspace.fwd, nodes_.size());
+  forwardSweep({domains.data(), domains.size()}, fwd);
+  return backwardSweep(target, domains, fwd);
 }
 
 ReviseResult CompiledExpr::revisePadded(const Interval& rawTarget,
-                                        std::span<Interval> domains) {
+                                        std::span<Interval> domains) const {
   countSweep();
-  forwardSweep({domains.data(), domains.size()});
-  return backwardSweep(tolerancedTarget(rawTarget, fwd_.back()), domains);
+  Interval* fwd = atLeast(tlsWorkspace.fwd, nodes_.size());
+  forwardSweep({domains.data(), domains.size()}, fwd);
+  return backwardSweep(tolerancedTarget(rawTarget, fwd[nodes_.size() - 1]),
+                       domains, fwd);
 }
 
 ReviseResult CompiledExpr::backwardSweep(const Interval& target,
-                                         std::span<Interval> domains) {
+                                         std::span<Interval> domains,
+                                         const Interval* fwd) const {
   ReviseResult result;
-  result.value = fwd_.back();
+  result.value = fwd[nodes_.size() - 1];
   result.target = target;
 
   const Interval rootRange = interval::intersect(result.value, target);
@@ -230,31 +262,33 @@ ReviseResult CompiledExpr::backwardSweep(const Interval& target,
   }
   result.feasible = true;
 
-  // Backward sweep: bwd_ holds the refined enclosure of each node.  Every
+  // Backward sweep: bwd holds the refined enclosure of each node.  Every
   // projection is inflated outward before intersecting: the library uses
   // plain double rounding instead of directed rounding, and without slack a
   // projection through a deep expression chain can shave the true value off
   // a point domain by an ULP, falsely proving infeasibility.
   constexpr double kSlackRel = 1e-10;
   constexpr double kSlackAbs = 1e-12;
-  for (std::size_t i = 0; i < nodes_.size(); ++i) bwd_[i] = fwd_[i];
-  bwd_.back() = rootRange;
+  Workspace& ws = tlsWorkspace;
+  Interval* bwd = atLeast(ws.bwd, nodes_.size());
+  for (std::size_t i = 0; i < nodes_.size(); ++i) bwd[i] = fwd[i];
+  bwd[nodes_.size() - 1] = rootRange;
 
   for (std::size_t ri = nodes_.size(); ri-- > 0;) {
     const CNode& n = nodes_[ri];
-    const Interval z = bwd_[ri];
+    const Interval z = bwd[ri];
     if (z.empty()) continue;  // dead branch; soundly skip
 
     auto refine = [&](int child, const Interval& projected) {
       auto ci = static_cast<std::size_t>(child);
-      bwd_[ci] = interval::intersect(bwd_[ci],
+      bwd[ci] = interval::intersect(bwd[ci],
                                      projected.inflate(kSlackRel, kSlackAbs));
     };
     // Prior enclosures handed to projections that intersect internally
     // (mul/div/sqr/pow/abs/min/max) must carry the slack too, or a point
     // domain one ULP off empties inside the helper.
     auto prior = [&](int child) {
-      return bwd_[static_cast<std::size_t>(child)].inflate(kSlackRel,
+      return bwd[static_cast<std::size_t>(child)].inflate(kSlackRel,
                                                            kSlackAbs);
     };
 
@@ -263,17 +297,17 @@ ReviseResult CompiledExpr::backwardSweep(const Interval& target,
       case OpKind::Var:
         break;
       case OpKind::Add: {
-        const Interval& x = bwd_[static_cast<std::size_t>(n.child0)];
-        const Interval& y = bwd_[static_cast<std::size_t>(n.child1)];
+        const Interval& x = bwd[static_cast<std::size_t>(n.child0)];
+        const Interval& y = bwd[static_cast<std::size_t>(n.child1)];
         refine(n.child0, z - y);
-        refine(n.child1, z - bwd_[static_cast<std::size_t>(n.child0)]);
+        refine(n.child1, z - bwd[static_cast<std::size_t>(n.child0)]);
         (void)x;
         break;
       }
       case OpKind::Sub: {
-        const Interval y = bwd_[static_cast<std::size_t>(n.child1)];
+        const Interval y = bwd[static_cast<std::size_t>(n.child1)];
         refine(n.child0, z + y);
-        refine(n.child1, bwd_[static_cast<std::size_t>(n.child0)] - z);
+        refine(n.child1, bwd[static_cast<std::size_t>(n.child0)] - z);
         break;
       }
       case OpKind::Mul: {
@@ -341,11 +375,10 @@ ReviseResult CompiledExpr::backwardSweep(const Interval& target,
   // enter); report infeasibility and leave the box untouched rather than
   // poisoning downstream propagation with an empty domain.
   // Aggregate across occurrences first, then check, then commit.
-  refined_.resize(vars_.size());
-  std::vector<Interval>& refined = refined_;
+  Interval* refined = atLeast(ws.refined, vars_.size());
   for (std::size_t k = 0; k < vars_.size(); ++k) refined[k] = domains[vars_[k]];
   for (const VarSlot& vs : varSlots_) {
-    refined[vs.slot] = interval::intersect(refined[vs.slot], bwd_[vs.node]);
+    refined[vs.slot] = interval::intersect(refined[vs.slot], bwd[vs.node]);
   }
   for (std::size_t k = 0; k < vars_.size(); ++k) {
     if (refined[k].empty()) {

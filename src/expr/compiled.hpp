@@ -48,9 +48,9 @@ struct ReviseResult {
 };
 
 /// Result of one fused value-plus-derivatives sweep.  `derivatives` is
-/// parallel to `CompiledExpr::variables()` and points into scratch owned by
-/// the CompiledExpr — it is valid only until the next sweep on the same
-/// instance.
+/// parallel to `CompiledExpr::variables()` and points into the calling
+/// thread's sweep workspace — it is valid only until the next sweep of any
+/// CompiledExpr on the same thread.
 struct DerivativeSweep {
   /// Forward interval enclosure of the expression over the input box.
   interval::Interval value;
@@ -59,7 +59,10 @@ struct DerivativeSweep {
 };
 
 /// An expression flattened to postorder for repeated forward/backward sweeps.
-/// Not thread-safe: each instance owns scratch buffers.
+/// An immutable program: the sweeps are const and run over one per-thread
+/// workspace (compiled.cpp), so an instance holds no scratch and every
+/// revise is a pure function of its target and the argument domains.
+/// Concurrent sweeps of one instance from different threads are safe.
 class CompiledExpr {
  public:
   explicit CompiledExpr(const Expr& e);
@@ -73,7 +76,8 @@ class CompiledExpr {
   std::size_t nodeCount() const noexcept { return nodes_.size(); }
 
   /// Forward sweep only: interval enclosure of the expression over the box.
-  interval::Interval evaluate(std::span<const interval::Interval> domains);
+  interval::Interval evaluate(
+      std::span<const interval::Interval> domains) const;
 
   /// Fused forward-mode AD sweep: one pass over the postorder node array
   /// computes the value enclosure *and* the derivative enclosure with
@@ -85,13 +89,14 @@ class CompiledExpr {
   /// Counts as a single expression sweep where a tree walk costs one
   /// `evaluate` plus one `oracle::evalDerivative` walk per (variable,
   /// expression) pair.
-  DerivativeSweep derivatives(std::span<const interval::Interval> domains);
+  DerivativeSweep derivatives(
+      std::span<const interval::Interval> domains) const;
 
   /// Full HC4-revise: narrows `domains` in place to values compatible with
   /// expression ∈ target.  If the revise proves infeasibility, domains are
   /// left unchanged and `feasible` is false.
   ReviseResult revise(const interval::Interval& target,
-                      std::span<interval::Interval> domains);
+                      std::span<interval::Interval> domains) const;
 
   /// HC4-revise against `tolerancedTarget(rawTarget, value)`, where `value`
   /// is this revise's own forward enclosure: one sweep where
@@ -99,7 +104,7 @@ class CompiledExpr {
   /// bit-identical result.  The padded target is returned in
   /// `ReviseResult::target`.
   ReviseResult revisePadded(const interval::Interval& rawTarget,
-                            std::span<interval::Interval> domains);
+                            std::span<interval::Interval> domains) const;
 
  private:
   struct CNode {
@@ -118,25 +123,20 @@ class CompiledExpr {
   };
 
   int compile(const Expr& e);
-  void forwardSweep(std::span<const interval::Interval> domains);
-  /// Backward projection and harvest over the enclosures the last forward
-  /// sweep left in fwd_.
+  /// Writes the enclosure of every node to fwd[0, nodeCount()).
+  void forwardSweep(std::span<const interval::Interval> domains,
+                    interval::Interval* fwd) const;
+  /// Backward projection and harvest over the node enclosures in `fwd` (a
+  /// forward sweep's output).
   ReviseResult backwardSweep(const interval::Interval& target,
-                             std::span<interval::Interval> domains);
+                             std::span<interval::Interval> domains,
+                             const interval::Interval* fwd) const;
 
   std::vector<CNode> nodes_;  // postorder; root is nodes_.back()
   std::vector<VarId> vars_;
   /// Every Var node with its slot, in node order (the harvest's input).
   std::vector<VarSlot> varSlots_;
   std::size_t span_ = 0;
-  std::vector<interval::Interval> fwd_;
-  std::vector<interval::Interval> bwd_;
-  /// Per-variable refinement scratch for `revise`'s harvest step (reused so
-  /// the steady-state revise allocates nothing).
-  std::vector<interval::Interval> refined_;
-  /// Tangent matrix for `derivatives`: nodes_.size() rows of vars_.size()
-  /// derivative enclosures, row-major, lazily sized on first use.
-  std::vector<interval::Interval> tan_;
 };
 
 }  // namespace adpm::expr

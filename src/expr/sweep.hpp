@@ -8,7 +8,9 @@
 // counts one per `oracle::evalDerivative` walk).  A propagation revise is
 // one sweep: the propagator calls CompiledExpr::revisePadded, which sizes
 // the target's tolerance pad from its own forward pass (the reference
-// propagator evaluates first and so counts two).  The counter exists to make the miner's
+// propagator evaluates first and so counts two).  A revise the propagator
+// replays from the constraint's revise trace is no sweep at all, though it
+// is still one charged evaluation.  The counter exists to make the miner's
 // Θ(Σβᵢ) → Θ(nc) sweep reduction observable in benchmarks and tests; it is
 // *not* the paper's cost metric — that is the network's charged evaluation
 // counter (`Network::evaluationCount`), which the optimizations leave

@@ -107,9 +107,14 @@ class Interval {
   double hi_ = -std::numeric_limits<double>::infinity();
 };
 
+/// +∞, the bound of unbounded intervals.
+inline constexpr double kInf = std::numeric_limits<double>::infinity();
+
 // The leaf operations below are defined inline: every HC4 sweep calls them
 // once or more per expression node, and a call across translation units
-// costs as much as the operation itself.
+// costs as much as the operation itself.  That covers the forward
+// operations and the backward projections alike; only the transcendental
+// and integer-power helpers stay in interval.cpp.
 
 // -- set operations ---------------------------------------------------------
 
@@ -157,13 +162,54 @@ inline Interval operator*(const Interval& a, const Interval& b) noexcept {
   return Interval(std::min({p1, p2, p3, p4}), std::max({p1, p2, p3, p4}));
 }
 
-/// Hull of a/b; division by an interval containing 0 widens appropriately
-/// (entire when 0 is interior, half-line when 0 is an endpoint).
-Interval operator/(const Interval& a, const Interval& b) noexcept;
-
 inline Interval operator-(const Interval& a) noexcept {
   if (a.empty()) return a;
   return Interval(-a.hi(), -a.lo());
+}
+
+/// Extended division z/y as up to two disjoint intervals (when y straddles 0).
+struct IntervalPair {
+  Interval first;
+  Interval second;  // empty when the result is a single interval
+};
+
+inline IntervalPair extendedDiv(const Interval& z,
+                                const Interval& y) noexcept {
+  if (z.empty() || y.empty()) return {Interval::emptySet(), Interval::emptySet()};
+
+  // y strictly positive or strictly negative: ordinary division.
+  if (y.lo() > 0.0 || y.hi() < 0.0) {
+    const double q1 = z.lo() / y.lo();
+    const double q2 = z.lo() / y.hi();
+    const double q3 = z.hi() / y.lo();
+    const double q4 = z.hi() / y.hi();
+    return {Interval(std::min({q1, q2, q3, q4}), std::max({q1, q2, q3, q4})),
+            Interval::emptySet()};
+  }
+
+  // y contains 0.
+  if (y.isPoint()) {  // y == [0,0]
+    if (z.contains(0.0)) return {Interval::entire(), Interval::emptySet()};
+    return {Interval::emptySet(), Interval::emptySet()};
+  }
+  if (z.contains(0.0)) return {Interval::entire(), Interval::emptySet()};
+
+  if (z.hi() < 0.0) {
+    if (y.lo() == 0.0) return {Interval(-kInf, z.hi() / y.hi()), Interval::emptySet()};
+    if (y.hi() == 0.0) return {Interval(z.hi() / y.lo(), kInf), Interval::emptySet()};
+    return {Interval(-kInf, z.hi() / y.hi()), Interval(z.hi() / y.lo(), kInf)};
+  }
+  // z.lo() > 0
+  if (y.lo() == 0.0) return {Interval(z.lo() / y.hi(), kInf), Interval::emptySet()};
+  if (y.hi() == 0.0) return {Interval(-kInf, z.lo() / y.lo()), Interval::emptySet()};
+  return {Interval(-kInf, z.lo() / y.lo()), Interval(z.lo() / y.hi(), kInf)};
+}
+
+/// Hull of a/b; division by an interval containing 0 widens appropriately
+/// (entire when 0 is interior, half-line when 0 is an endpoint).
+inline Interval operator/(const Interval& a, const Interval& b) noexcept {
+  const IntervalPair parts = extendedDiv(a, b);
+  return hull(parts.first, parts.second);
 }
 
 inline Interval sqr(const Interval& a) noexcept {
@@ -175,40 +221,80 @@ inline Interval sqr(const Interval& a) noexcept {
   return Interval(0.0, std::max(l * l, h * h));
 }
 
-Interval sqrt(const Interval& a) noexcept;       // domain-clipped to x >= 0
+/// Domain-clipped to x >= 0.
+inline Interval sqrt(const Interval& a) noexcept {
+  const Interval clipped = intersect(a, Interval::nonNegative());
+  if (clipped.empty()) return clipped;
+  return Interval(std::sqrt(clipped.lo()), std::sqrt(clipped.hi()));
+}
+
+inline Interval abs(const Interval& a) noexcept {
+  if (a.empty()) return a;
+  if (a.lo() >= 0.0) return a;
+  if (a.hi() <= 0.0) return -a;
+  return Interval(0.0, std::max(-a.lo(), a.hi()));
+}
+
+inline Interval min(const Interval& a, const Interval& b) noexcept {
+  if (a.empty() || b.empty()) return Interval::emptySet();
+  return Interval(std::min(a.lo(), b.lo()), std::min(a.hi(), b.hi()));
+}
+
+inline Interval max(const Interval& a, const Interval& b) noexcept {
+  if (a.empty() || b.empty()) return Interval::emptySet();
+  return Interval(std::max(a.lo(), b.lo()), std::max(a.hi(), b.hi()));
+}
+
 Interval pow(const Interval& a, int n) noexcept; // integer powers, n may be < 0
 Interval exp(const Interval& a) noexcept;
 Interval log(const Interval& a) noexcept;        // domain-clipped to x > 0
-Interval abs(const Interval& a) noexcept;
-Interval min(const Interval& a, const Interval& b) noexcept;
-Interval max(const Interval& a, const Interval& b) noexcept;
 
 // -- projections (backward/HC4 support) --------------------------------------
-
-/// Extended division z/y as up to two disjoint intervals (when y straddles 0).
-struct IntervalPair {
-  Interval first;
-  Interval second;  // empty when the result is a single interval
-};
-IntervalPair extendedDiv(const Interval& z, const Interval& y) noexcept;
 
 /// Refines x given z = x + y: x' = x ∩ (z - y).
 Interval projectAddLhs(const Interval& z, const Interval& x,
                        const Interval& y) noexcept;
 /// Refines x given z = x * y: x' = x ∩ (z ÷ y), using extended division.
-Interval projectMulLhs(const Interval& z, const Interval& x,
-                       const Interval& y) noexcept;
+inline Interval projectMulLhs(const Interval& z, const Interval& x,
+                              const Interval& y) noexcept {
+  const IntervalPair q = extendedDiv(z, y);
+  return hull(intersect(x, q.first), intersect(x, q.second));
+}
+
 /// Refines x given z = x^2.
-Interval projectSqr(const Interval& z, const Interval& x) noexcept;
+inline Interval projectSqr(const Interval& z, const Interval& x) noexcept {
+  const Interval root = sqrt(z);
+  if (root.empty()) return Interval::emptySet();
+  return hull(intersect(x, root), intersect(x, -root));
+}
+
 /// Refines x given z = x^n.
 Interval projectPow(const Interval& z, const Interval& x, int n) noexcept;
 /// Refines x given z = |x|.
-Interval projectAbs(const Interval& z, const Interval& x) noexcept;
+inline Interval projectAbs(const Interval& z, const Interval& x) noexcept {
+  const Interval zc = intersect(z, Interval::nonNegative());
+  if (zc.empty()) return Interval::emptySet();
+  return hull(intersect(x, zc), intersect(x, -zc));
+}
+
 /// Refines x given z = min(x, y) (use with swapped args for the y side).
-Interval projectMinLhs(const Interval& z, const Interval& x,
-                       const Interval& y) noexcept;
+inline Interval projectMinLhs(const Interval& z, const Interval& x,
+                              const Interval& y) noexcept {
+  if (z.empty()) return Interval::emptySet();
+  // min(x, y) >= z.lo implies x >= z.lo.
+  Interval refined = intersect(x, Interval(z.lo(), kInf));
+  // If y alone cannot achieve the minimum (y.lo > z.hi), x must supply it.
+  if (y.lo() > z.hi()) refined = intersect(refined, z);
+  return refined;
+}
+
 /// Refines x given z = max(x, y).
-Interval projectMaxLhs(const Interval& z, const Interval& x,
-                       const Interval& y) noexcept;
+inline Interval projectMaxLhs(const Interval& z, const Interval& x,
+                              const Interval& y) noexcept {
+  if (z.empty()) return Interval::emptySet();
+  Interval refined = intersect(x, Interval(-kInf, z.hi()));
+  if (y.hi() < z.lo()) refined = intersect(refined, z);
+  return refined;
+}
 
 }  // namespace adpm::interval

@@ -32,9 +32,9 @@ std::vector<double> designPoint(const constraint::Network& net) {
 
 /// (variable, partial) for each variable of a compiled expression, ascending:
 /// the midpoint of the ∂e/∂v enclosure from one derivatives sweep over
-/// `pointBox`, copied out of the expression's sweep scratch.
+/// `pointBox`, copied out of the thread's sweep workspace.
 using PointPartials = std::vector<std::pair<expr::VarId, double>>;
-PointPartials pointPartials(expr::CompiledExpr& compiled,
+PointPartials pointPartials(const expr::CompiledExpr& compiled,
                             std::span<const interval::Interval> pointBox) {
   const expr::DerivativeSweep sweep = compiled.derivatives(pointBox);
   PointPartials out;
@@ -450,7 +450,7 @@ SimulatedDesigner::repairCandidates(
   // Helpful direction of b for a violated constraint: the side the residual
   // must move times the sign of the chained sensitivity.
   auto chainDirection = [&](PropertyId b, ConstraintId cid) -> int {
-    constraint::Constraint& c = dpm.network().constraint(cid);
+    const constraint::Constraint& c = net.constraint(cid);
     // Needed residual shift.
     int shift = 0;
     switch (c.relation()) {

@@ -12,8 +12,9 @@
 // PropagationResult, same GuidanceReport, and, the paper's reproduced cost
 // metric, the same charged evaluation counts — across all four scenarios
 // and a range of design states (initial, partially bound, violated), and on
-// the generated nonlinear networks (zoo-small, zoo-medium mid-run) that
-// dominate the benchmark's hot path.
+// the generated nonlinear networks that dominate the benchmark's hot path
+// (zoo-small's three states, and zoo-small and zoo-medium after each
+// operation of a TeamSim session, where revise traces replay).
 #include <gtest/gtest.h>
 
 #include "constraint/miner.hpp"
@@ -97,7 +98,9 @@ struct Pair {
   /// the current state and asserts identical results and identical charged
   /// evaluations.  Mines twice so the shipped miner's generation-keyed
   /// cache (hit on the second mine) is held to the same equivalence.
-  void check(const std::string& label) {
+  /// Returns the shipped side's revises served from revise traces (the
+  /// oracles never replay), so callers can show the replay path was taken.
+  std::size_t check(const std::string& label) {
     SCOPED_TRACE(label);
     Propagator fastProp;
     oracle::ReferencePropagator refProp;
@@ -128,6 +131,7 @@ struct Pair {
     expectSameGuidance(gf2, gf);
     EXPECT_EQ(fastNet().evaluationCount() - chargedBefore,
               refNet().evaluationCount() - refChargedBefore);
+    return pf.replayed + gf.extraReplayed + gf2.extraReplayed;
   }
 };
 
@@ -202,27 +206,39 @@ TEST(Differential, ZooSmallAllStates) {
   }
 }
 
-TEST(Differential, ZooMediumAfterTeamSimOps) {
-  // A mid-run zoo-medium state: ten TeamSim operations (bindings, repairs,
-  // decompositions that activate staged constraints) proposed on one side
-  // and executed on both.
+/// Drives `ops` TeamSim operations (bindings, repairs, decompositions that
+/// activate staged constraints), proposed on the shipped side and executed
+/// on both, and checks the pair after every one.  The shipped side's revise
+/// traces carry over from operation to operation (the manager's own runs
+/// and what-ifs fill them), so the checks hold the replay path to the
+/// oracles on the states a real session reaches.
+void checkAfterTeamSimOps(const std::string& scenario, std::size_t ops) {
   teamsim::SimulationOptions options;
   options.adpm = true;
   options.seed = 1;
-  Pair pair(gen::scenarioByName("zoo-medium"), options.managerOptions());
+  Pair pair(gen::scenarioByName(scenario), options.managerOptions());
   pair.fast.bootstrap();
   pair.reference.bootstrap();
   teamsim::TeamClient client(pair.fast, options);
-  std::size_t ops = 0;
-  for (; ops < 10; ++ops) {
+  std::size_t replayed = 0;
+  for (std::size_t i = 0; i < ops; ++i) {
     std::optional<dpm::Operation> op = client.propose(pair.fast);
-    if (!op) break;
+    ASSERT_TRUE(op.has_value()) << "no operation " << i;
     (void)pair.reference.execute(*op);
     client.observe(pair.fast, pair.fast.execute(std::move(*op)).record);
+    ASSERT_EQ(pair.fastNet().currentBox(), pair.refNet().currentBox());
+    replayed += pair.check(scenario + "/after-op-" + std::to_string(i + 1));
+    if (::testing::Test::HasFailure()) return;
   }
-  ASSERT_EQ(ops, 10u);
-  ASSERT_EQ(pair.fastNet().currentBox(), pair.refNet().currentBox());
-  pair.check("zoo-medium/after-10-ops");
+  EXPECT_GT(replayed, 0u) << "no checked run replayed a revise";
+}
+
+TEST(Differential, ZooMediumAfterTeamSimOps) {
+  checkAfterTeamSimOps("zoo-medium", 10);
+}
+
+TEST(Differential, ZooSmallAfterTeamSimOps) {
+  checkAfterTeamSimOps("zoo-small", 25);
 }
 
 TEST(Differential, SinglePassAndNoShavingModes) {
