@@ -225,7 +225,8 @@ BENCHMARK(BM_MineGuidance)
 // Size sweep over the generated scenario zoo (~10 → ~6000 constraints).
 // Zoom levels are forced eager so the whole network is active and the
 // constraint count really is the series' x-axis; the `constraints` /
-// `properties` counters carry it into BENCH_propagation.json.
+// `properties` counters carry it into the JSON that scripts/bench_json.sh
+// writes.
 void BM_PropagationGeneratedSweep(benchmark::State& state) {
   static constexpr const char* kPresets[] = {"zoo-toy", "zoo-small",
                                              "zoo-medium", "zoo-large",

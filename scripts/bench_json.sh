@@ -4,11 +4,10 @@
 #
 #   scripts/bench_json.sh [build-dir] [benchmark-filter]
 #
-# Writes BENCH_propagation.json and BENCH_service.json in the repository
-# root.  A filtered run is a partial picture, so it writes those files under
-# the build directory instead and never touches the committed ones; a suite
-# in which the filter matches no benchmark is skipped.  The interesting
-# counters:
+# Writes BENCH_propagation.json and BENCH_service.json (google-benchmark
+# JSON) under the build directory; nothing is written into the worktree.
+# With a filter, a suite in which it matches no benchmark is skipped.  The
+# interesting counters:
 #   * BM_MineGuidance .../mode:1 — expression sweeps per mine
 #     (sweeps_per_mine) and wall time of the compiled-AD miner with a cold
 #     cache (Θ(nc) sweeps);
@@ -22,26 +21,18 @@
 #     BM_PropagationGeneratedSweep, BM_MineGuidance mode:3) — revise traces
 #     forgotten before each iteration (every revise sweeps) or kept (the
 #     repeated box replays); replayed_per_run counts the replays;
-#   * BM_ServiceFleet workers:1/2/4 — ops_per_sec and sessions_per_sec of
-#     the concurrent session service; the 4-vs-1 worker ratio is the scaling
-#     claim (needs >1 hardware thread to mean anything).  Like
-#     BM_ServiceWire, every BM_ServiceFleet* series includes the client
-#     side: one driver thread and shadow manager per session, so δ runs on
-#     both the session and its shadow;
-#   * BM_ServiceFleetJournaled — the same fleet with the write-ahead log on;
-#   * BM_Recovery ops:64/640 x ckpt_every:0/48 — crash-recovery wall time
-#     and ops_replayed/segments_replayed; with checkpointing on the 640-op
-#     point must stay flat relative to the 64-op one (bounded recovery),
-#     without it the cost is linear in the log length;
-#   * BM_ServiceWire clients:1/2/4 — the fleet driven over TCP (one
-#     connection + shadow per session): end-to-end ops_per_sec, mean Apply
-#     RTT, and NotificationBus downgrades under write backpressure.
+#   * BM_ServiceFleet workers:-1/1/2/4 — ops_per_sec and sessions_per_sec
+#     of the in-process session service, client side included (one driver
+#     thread and shadow manager per session, so δ runs on both the session
+#     and its shadow); the 4-vs-1 worker ratio is the scaling claim (needs
+#     >1 hardware thread to mean anything).
+#
+# The wire fleet and restart recovery are measured by perfbench
+# (`perfbench/run.py --workload wire-sensing` / `restart-recover`), which
+# records a host fingerprint and repetitions.
 #
 # Numbers from a Debug, sanitizer, or fault-injection build are
-# meaningless; the script refuses those configurations unless
-# ADPM_BENCH_ALLOW_DEBUG=1 is set, in which case results are written with a
-# `.debug.json` suffix so they can never be mistaken for (or committed
-# over) trustworthy ones.
+# meaningless; the script refuses those configurations with exit 1.
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -72,25 +63,13 @@ for opt in ADPM_SANITIZE ADPM_TSAN ADPM_FAULT_INJECTION; do
   esac
 done
 
-suffix=".json"
 if [ "${#untrusted_reasons[@]}" -gt 0 ]; then
-  echo "warning: benchmark numbers from $build are NOT trustworthy:" >&2
+  echo "error: benchmark numbers from $build are NOT trustworthy:" >&2
   for reason in "${untrusted_reasons[@]}"; do
     echo "  - $reason" >&2
   done
-  if [ "${ADPM_BENCH_ALLOW_DEBUG:-0}" != "1" ]; then
-    echo "refusing to run; rebuild with -DCMAKE_BUILD_TYPE=Release (or set" >&2
-    echo "ADPM_BENCH_ALLOW_DEBUG=1 to run anyway — results will be tagged" >&2
-    echo "with a .debug.json suffix and must not replace the committed ones)" >&2
-    exit 1
-  fi
-  suffix=".debug.json"
-  echo "ADPM_BENCH_ALLOW_DEBUG=1: running anyway, tagging outputs *${suffix}" >&2
-fi
-
-outdir="$repo"
-if [ -n "$filter" ]; then
-  outdir="$build"
+  echo "refusing to run; configure a Release build without sanitizers or fault injection" >&2
+  exit 1
 fi
 
 run_suite() {
@@ -122,5 +101,5 @@ run_suite() {
   echo "wrote $out"
 }
 
-run_suite "$build/bench/bench_propagation" "$outdir/BENCH_propagation${suffix}"
-run_suite "$build/bench/bench_service" "$outdir/BENCH_service${suffix}"
+run_suite "$build/bench/bench_propagation" "$build/BENCH_propagation.json"
+run_suite "$build/bench/bench_service" "$build/BENCH_service.json"

@@ -28,8 +28,12 @@ void Client::connect() {
 }
 
 void Client::connectWithRetry() {
+  // Jitter 0: the backoff draws nothing from rng_, the retry jitter stream.
+  static constexpr util::RetryPolicy kReconnect{
+      .backoffBase = std::chrono::milliseconds(50),
+      .backoffCap = std::chrono::seconds(2),
+      .jitter = 0.0};
   const unsigned attempts = std::max(1u, options_.reconnectAttempts);
-  std::chrono::milliseconds backoff = options_.reconnectBackoffBase;
   for (unsigned attempt = 1;; ++attempt) {
     try {
       connect();
@@ -37,8 +41,7 @@ void Client::connectWithRetry() {
     } catch (const ConnectionError&) {
       if (attempt >= attempts) throw;
       ++reconnectRetries_;
-      if (backoff.count() > 0) std::this_thread::sleep_for(backoff);
-      backoff = std::min(backoff * 2, options_.reconnectBackoffCap);
+      std::this_thread::sleep_for(kReconnect.backoff(attempt, rng_));
     }
   }
 }

@@ -56,11 +56,6 @@ class Client {
     /// rides out a supervised server restart (crash → respawn) without the
     /// driver seeing more than latency.  1 = plain connect().
     unsigned reconnectAttempts = 1;
-    /// Backoff before reconnect attempt k (1-based) is base·2^(k-1) capped
-    /// at `reconnectBackoffCap` (no jitter — reconnects race a restarting
-    /// listener, not each other).
-    std::chrono::milliseconds reconnectBackoffBase{50};
-    std::chrono::milliseconds reconnectBackoffCap{2000};
   };
 
   using NotificationHandler =
@@ -77,11 +72,13 @@ class Client {
   /// the shutdown flag resets).  Throws ConnectionError.
   void connect();
 
-  /// connect() with up to Options::reconnectAttempts tries under capped
-  /// exponential backoff; throws the *last* ConnectionError when they are
-  /// exhausted.  Reconnecting never resynchronizes state by itself — the
-  /// caller still compares a fresh snapshot() against its shadow (the
-  /// resync in wireHost's load target).
+  /// connect() with up to Options::reconnectAttempts tries; the backoff
+  /// before retry k (1-based) is 50 ms·2^(k-1) capped at 2 s, without
+  /// jitter (reconnects race a restarting listener, not each other).
+  /// Throws the *last* ConnectionError when the attempts are exhausted.
+  /// Reconnecting never resynchronizes state by itself — the caller still
+  /// compares a fresh snapshot() against its shadow (the resync in
+  /// wireHost's load target).
   void connectWithRetry();
   void close();
   bool connected() const noexcept { return fd_.valid(); }

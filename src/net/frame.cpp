@@ -78,9 +78,10 @@ std::optional<Frame> FrameParser::next() {
     throw ProtocolError("zero-length frame (a frame always carries its type "
                         "byte)");
   }
-  if (static_cast<std::size_t>(len) - 1 > maxPayload_) {
+  if (static_cast<std::size_t>(len) - 1 > kMaxFramePayload) {
     throw ProtocolError("frame of " + std::to_string(len) +
-                        " bytes exceeds the " + std::to_string(maxPayload_) +
+                        " bytes exceeds the " +
+                        std::to_string(kMaxFramePayload) +
                         "-byte payload limit");
   }
   if (avail < 4u + len) return std::nullopt;

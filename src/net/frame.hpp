@@ -100,9 +100,6 @@ std::string encodeFrame(FrameType type, std::string_view payload);
 /// drop the connection, the stream cannot be resynchronized.
 class FrameParser {
  public:
-  explicit FrameParser(std::size_t maxPayload = kMaxFramePayload)
-      : maxPayload_(maxPayload) {}
-
   void feed(const char* data, std::size_t n) { buffer_.append(data, n); }
 
   /// One complete frame, or nullopt while the buffer holds only a partial
@@ -114,7 +111,6 @@ class FrameParser {
   std::size_t pendingBytes() const noexcept { return buffer_.size() - pos_; }
 
  private:
-  std::size_t maxPayload_;
   std::string buffer_;
   std::size_t pos_ = 0;  // consumed prefix, compacted lazily
 };

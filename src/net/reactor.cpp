@@ -139,7 +139,6 @@ void Reactor::handleAccept() {
       id = nextId_++;
       auto conn = std::make_unique<Conn>();
       conn->fd = ScopedFd(fd);
-      conn->parser = FrameParser(options_.maxFramePayload);
       conns_.emplace(id, std::move(conn));
     }
     if (handlers_.onAccept) handlers_.onAccept(id);

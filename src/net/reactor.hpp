@@ -43,7 +43,6 @@ class Reactor {
   struct Options {
     /// Outbound bytes above which senders should pause (see queuedBytes).
     std::size_t writeHighWater = 1u << 20;
-    std::size_t maxFramePayload = kMaxFramePayload;
   };
 
   struct Handlers {

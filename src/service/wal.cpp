@@ -40,6 +40,34 @@ void fsyncParentDir(const std::string& path) {
 }
 #endif
 
+// A record on disk is its canonical serialization `base` with a `crc`
+// member — the fnv1a-64 of `base` — spliced in last.
+constexpr std::string_view kCrcKey = ",\"crc\":\"";
+constexpr std::size_t kCrcSuffix = kCrcKey.size() + 16 + 2;  // key, hex, "}
+
+std::string withCrc(const std::string& base) {
+  std::string line = base.substr(0, base.size() - 1);
+  line += kCrcKey;
+  line += util::fnv1a64Hex(base);
+  line += "\"}";
+  return line;
+}
+
+// Why `line` (one record, newline stripped) fails its crc check; empty when
+// it passes.  The crc covers the exact bytes written, not the parsed value:
+// a flip that leaves the value unchanged (the last digit of a %.17g double)
+// is caught too.
+std::string crcError(std::string_view line) {
+  if (line.size() <= kCrcSuffix || !line.ends_with("\"}")) return "no crc";
+  const std::string_view suffix = line.substr(line.size() - kCrcSuffix);
+  if (!suffix.starts_with(kCrcKey)) return "no crc";
+  std::string base(line.substr(0, line.size() - kCrcSuffix));
+  base += '}';
+  return util::fnv1a64Hex(base) == suffix.substr(kCrcKey.size(), 16)
+             ? ""
+             : "checksum mismatch";
+}
+
 }  // namespace
 
 OperationLog::OperationLog(std::string path, bool sync)
@@ -69,7 +97,8 @@ OperationLog::~OperationLog() {
   if (out_ != nullptr) std::fclose(out_);
 }
 
-void OperationLog::appendLine(const std::string& line) {
+void OperationLog::appendRecord(const std::string& base) {
+  const std::string line = withCrc(base);
   if (poisoned_) {
     throw adpm::Error("operation log '" + path_ +
                       "' is poisoned by an earlier torn write");
@@ -144,17 +173,6 @@ void OperationLog::appendLine(const std::string& line) {
   ++written_;
 }
 
-void OperationLog::appendRecord(const std::string& base) {
-  // base is the canonical serialization without the crc member; the crc is
-  // spliced in as the final member so a reader can strip it and re-serialize
-  // the remaining members (insertion order is preserved) to verify.
-  std::string line = base.substr(0, base.size() - 1);
-  line += ",\"crc\":\"";
-  line += util::fnv1a64Hex(base);
-  line += "\"}";
-  appendLine(line);
-}
-
 void OperationLog::appendOpen(const SessionConfig& config, std::size_t seq,
                               std::size_t startStage) {
   util::json::Value v{util::json::Object{}};
@@ -226,21 +244,10 @@ OperationLog::Replay OperationLog::read(const std::string& path,
         err = "line " + std::to_string(lineNo) + ": " + e.what();
       }
       if (err.empty()) {
-        if (const util::json::Value* crc = v.find("crc")) {
-          if (crc->kind() != util::json::Kind::String) {
-            err = "line " + std::to_string(lineNo) + ": malformed crc field";
-          } else {
-            util::json::Object stripped;
-            for (const auto& [key, member] : v.asObject()) {
-              if (key != "crc") stripped.emplace_back(key, member);
-            }
-            const std::string base =
-                util::json::serialize(util::json::Value{std::move(stripped)});
-            if (util::fnv1a64Hex(base) != crc->asString()) {
-              err = "line " + std::to_string(lineNo) +
-                    ": checksum mismatch (record is corrupt)";
-            }
-          }
+        const std::string bad = crcError(line);
+        if (!bad.empty()) {
+          err = "line " + std::to_string(lineNo) + ": " + bad +
+                " (record is corrupt)";
         }
       }
       if (err.empty()) {
@@ -427,11 +434,7 @@ void writeCheckpoint(const std::string& basePath, const Checkpoint& ckpt,
   v.set("walSeq", ckpt.walSeq);
   v.set("digest", ckpt.digest);
   v.set("state", ckpt.state);
-  const std::string base = util::json::serialize(v);
-  std::string line = base.substr(0, base.size() - 1);
-  line += ",\"crc\":\"";
-  line += util::fnv1a64Hex(base);
-  line += "\"}\n";
+  const std::string line = withCrc(util::json::serialize(v)) + "\n";
 
   const std::string path = checkpointPath(basePath, ckpt.seq);
   const std::string tmp = path + ".tmp";
@@ -527,19 +530,10 @@ Checkpoint readCheckpoint(const std::string& path) {
   } catch (const adpm::Error& e) {
     throw adpm::Error("checkpoint '" + path + "': " + e.what());
   }
-  const util::json::Value* crc = v.find("crc");
-  if (crc == nullptr || crc->kind() != util::json::Kind::String) {
-    throw adpm::Error("checkpoint '" + path + "' has no crc");
-  }
-  util::json::Object stripped;
-  for (const auto& [key, member] : v.asObject()) {
-    if (key != "crc") stripped.emplace_back(key, member);
-  }
-  const std::string base =
-      util::json::serialize(util::json::Value{std::move(stripped)});
-  if (util::fnv1a64Hex(base) != crc->asString()) {
-    throw adpm::Error("checkpoint '" + path +
-                      "': checksum mismatch (file is corrupt)");
+  const std::string bad = crcError(content);
+  if (!bad.empty()) {
+    throw adpm::Error("checkpoint '" + path + "': " + bad +
+                      " (file is corrupt)");
   }
 
   try {

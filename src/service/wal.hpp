@@ -15,9 +15,10 @@
 //   {"t":"op","op":{...},"crc":HEX}            (dpm/operation_io.hpp form)
 //   {"t":"mark","stage":N,"digest":HEX,"crc":HEX}
 // `crc` is the fnv1a-64 (16 hex digits) of the record's canonical
-// serialization *without* the crc member — a bit-flip anywhere in the line
-// is detected at read time.  Records without a crc member (logs written
-// before the field existed) are accepted unverified.
+// serialization *without* the crc member, spliced in as the last member and
+// checked against the bytes as written — a bit-flip anywhere in the line is
+// detected at read time.  A record without a crc is as corrupt as one whose
+// crc does not match.
 // `mark` records carry the fnv1a-64 digest of the session's canonical
 // snapshot text at stage N; replay re-derives the digest at each mark and
 // fails loudly on divergence instead of silently resurrecting a corrupt
@@ -173,8 +174,8 @@ class OperationLog {
                      RecoveryPolicy policy = RecoveryPolicy::Strict);
 
  private:
+  /// Appends `base` (one canonical JSON object) sealed with its crc.
   void appendRecord(const std::string& base);
-  void appendLine(const std::string& line);
 
   std::string path_;
   bool sync_ = false;

@@ -109,15 +109,22 @@ TEST(FrameParser, OversizedLengthIsProtocolErrorBeforeBuffering) {
   EXPECT_THROW(parser.next(), ProtocolError);
 }
 
-TEST(FrameParser, HonoursCustomPayloadCap) {
-  FrameParser parser(/*maxPayload=*/8);
-  const std::string small = encodeFrame(FrameType::Apply, "12345678");
-  parser.feed(small.data(), small.size());
-  EXPECT_TRUE(parser.next().has_value());
+TEST(FrameParser, PayloadLimitIsInclusive) {
+  // Headers alone: the length word counts the type byte, so kMaxFramePayload
+  // + 1 announces the largest legal payload and waits for it, one more is
+  // refused.
+  std::string largest;
+  putU32le(largest, static_cast<std::uint32_t>(kMaxFramePayload + 1));
+  largest.push_back(static_cast<char>(FrameType::Apply));
+  FrameParser parser;
+  parser.feed(largest.data(), largest.size());
+  EXPECT_FALSE(parser.next().has_value());
 
-  FrameParser strict(/*maxPayload=*/8);
-  const std::string big = encodeFrame(FrameType::Apply, "123456789");
-  strict.feed(big.data(), big.size());
+  std::string oversized;
+  putU32le(oversized, static_cast<std::uint32_t>(kMaxFramePayload + 2));
+  oversized.push_back(static_cast<char>(FrameType::Apply));
+  FrameParser strict;
+  strict.feed(oversized.data(), oversized.size());
   EXPECT_THROW(strict.next(), ProtocolError);
 }
 

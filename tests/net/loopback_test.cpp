@@ -157,6 +157,24 @@ TEST_F(LoopbackTest, PortIsPublishedSafelyToConcurrentPollers) {
   EXPECT_TRUE(server.shutdown(5s));
 }
 
+TEST_F(LoopbackTest, ConnectWithRetryBacksOffThenRethrows) {
+  // A port that was bound and released: every connect is refused at once,
+  // so the elapsed time is the backoff alone (50 ms, then 100 ms).
+  std::uint16_t port = 0;
+  {
+    const ScopedFd listener = listenTcp("127.0.0.1", 0);
+    port = localPort(listener.get());
+  }
+  Client::Options o = clientOptions(port);
+  o.reconnectAttempts = 3;
+  Client client(o);
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_THROW(client.connectWithRetry(), ConnectionError);
+  EXPECT_GE(std::chrono::steady_clock::now() - start, 150ms);
+  EXPECT_EQ(client.reconnectRetries(), 2u);
+  EXPECT_FALSE(client.connected());
+}
+
 TEST_F(LoopbackTest, FourConcurrentClientsCompleteAndMatchDigests) {
   service::SessionStore store{storeOptions()};
   Server server(store, Server::Options{});

@@ -7,6 +7,8 @@
 #include <string>
 
 #include "util/error.hpp"
+#include "util/json.hpp"
+#include "util/strings.hpp"
 
 namespace adpm::service {
 namespace {
@@ -44,6 +46,24 @@ class WalTest : public ::testing::Test {
     o.designer = designer;
     o.assignments.emplace_back(constraint::PropertyId{0}, v);
     return o;
+  }
+
+  /// `json` as a log line carrying a valid crc, the way the writer seals a
+  /// record.
+  static std::string sealed(const char* json) {
+    const std::string base = util::json::serialize(util::json::parse(json));
+    return base.substr(0, base.size() - 1) + ",\"crc\":\"" +
+           util::fnv1a64Hex(base) + "\"}\n";
+  }
+
+  /// What OperationLog::read throws for `p` under Strict ("" if nothing).
+  static std::string readError(const std::string& p) {
+    try {
+      OperationLog::read(p);
+    } catch (const adpm::Error& e) {
+      return e.what();
+    }
+    return {};
   }
 
   fs::path dir_;
@@ -107,20 +127,22 @@ TEST_F(WalTest, ReadRejectsMissingHeader) {
   const std::string p = path("noheader.wal");
   {
     std::ofstream out(p);
-    out << R"({"t":"op","op":{"kind":"Synthesis","problem":0,"designer":"x"}})"
-        << "\n";
+    out << sealed(
+        R"({"t":"op","op":{"kind":"Synthesis","problem":0,"designer":"x"}})");
   }
-  EXPECT_THROW(OperationLog::read(p), adpm::Error);
+  EXPECT_NE(readError(p).find("records before the header"), std::string::npos)
+      << readError(p);
 }
 
 TEST_F(WalTest, ReadRejectsUnknownVersion) {
   const std::string p = path("badversion.wal");
   {
     std::ofstream out(p);
-    out << R"({"t":"open","v":99,"session":"s","adpm":true,"scenario":"d","dddl":""})"
-        << "\n";
+    out << sealed(
+        R"({"t":"open","v":99,"session":"s","adpm":true,"scenario":"d","dddl":""})");
   }
-  EXPECT_THROW(OperationLog::read(p), adpm::Error);
+  EXPECT_NE(readError(p).find("unsupported version 99"), std::string::npos)
+      << readError(p);
 }
 
 TEST_F(WalTest, ReadRejectsUnknownRecordType) {
@@ -131,9 +153,11 @@ TEST_F(WalTest, ReadRejectsUnknownRecordType) {
   }
   {
     std::ofstream out(p, std::ios::app);
-    out << R"({"t":"mystery"})" << "\n";
+    out << sealed(R"({"t":"mystery"})");
   }
-  EXPECT_THROW(OperationLog::read(p), adpm::Error);
+  EXPECT_NE(readError(p).find("unknown record type 'mystery'"),
+            std::string::npos)
+      << readError(p);
 }
 
 TEST_F(WalTest, ReadRejectsMalformedJsonLine) {
@@ -213,6 +237,31 @@ TEST_F(WalTest, BitFlipIsDetectedStrictThrowsSalvageTrims) {
   EXPECT_EQ(replay.goodEndOffset + replay.droppedBytes, content.size());
 }
 
+TEST_F(WalTest, FlipThatParsesToTheSameValueIsStillDetected) {
+  // 0.1 is written as 0.10000000000000001; ...000 parses to the same double,
+  // so only a crc over the bytes as written can see the flip.
+  const std::string p = path("sameval.wal");
+  {
+    OperationLog log(p);
+    log.appendOpen(config());
+    log.appendOperation(op("ana", 0.1));
+  }
+  std::string content;
+  {
+    std::ifstream in(p, std::ios::binary);
+    content.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  const std::size_t at = content.find("0.10000000000000001");
+  ASSERT_NE(at, std::string::npos);
+  content[at + 18] = '0';
+  {
+    std::ofstream out(p, std::ios::binary | std::ios::trunc);
+    out << content;
+  }
+  EXPECT_NE(readError(p).find("checksum mismatch"), std::string::npos)
+      << readError(p);
+}
+
 TEST_F(WalTest, TornTailWithoutNewlineStrictThrowsSalvageTrims) {
   const std::string p = path("torn.wal");
   {
@@ -247,17 +296,37 @@ TEST_F(WalTest, SalvageNeverRepairsHeaderDamage) {
   EXPECT_THROW(OperationLog::read(p, RecoveryPolicy::Salvage), adpm::Error);
 }
 
-TEST_F(WalTest, CrcLessLegacyRecordsAreAcceptedUnverified) {
-  const std::string p = path("legacy.wal");
+TEST_F(WalTest, CrcLessRecordsAreRejected) {
+  const std::string p = path("nocrc.wal");
   {
-    std::ofstream out(p);
-    out << R"({"t":"open","v":1,"session":"s1","adpm":true,"scenario":"d","dddl":"object sys {}\n"})"
-        << "\n"
-        << R"({"t":"mark","stage":0,"digest":"00000000deadbeef"})" << "\n";
+    OperationLog log(p);
+    log.appendOpen(config());
+    log.appendOperation(op("ana", 1.0));
   }
-  const OperationLog::Replay replay = OperationLog::read(p);
-  EXPECT_EQ(replay.config.id, "s1");
-  ASSERT_EQ(replay.marks.size(), 1u);
+  const std::size_t intact = fs::file_size(p);
+  {
+    std::ofstream out(p, std::ios::app);
+    out << R"({"t":"mark","stage":1,"digest":"00000000deadbeef"})" << "\n";
+  }
+  EXPECT_NE(readError(p).find("no crc"), std::string::npos) << readError(p);
+
+  const OperationLog::Replay replay =
+      OperationLog::read(p, RecoveryPolicy::Salvage);
+  EXPECT_TRUE(replay.truncatedTail);
+  EXPECT_EQ(replay.goodEndOffset, intact);
+  EXPECT_TRUE(replay.marks.empty());
+  ASSERT_EQ(replay.operations.size(), 1u);
+  EXPECT_NE(replay.tailError.find("no crc"), std::string::npos);
+
+  // A crc-less header leaves nothing to salvage.
+  const std::string header = path("nocrc_header.wal");
+  {
+    std::ofstream out(header);
+    out << R"({"t":"open","v":1,"session":"s1","adpm":true,"scenario":"d","dddl":""})"
+        << "\n";
+  }
+  EXPECT_THROW(OperationLog::read(header, RecoveryPolicy::Salvage),
+               adpm::Error);
 }
 
 TEST_F(WalTest, TailOffsetTracksDurableBytes) {
